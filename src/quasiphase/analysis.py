@@ -5,7 +5,10 @@ twice and test the regularized preimage for positivity: a PSD preimage under
 one inversion certifies a nonnegative Wigner function, under two a valid
 P representation.  Both certificates are one-sided; a negative margin is
 never a proof of non-classicality, so the verdict is only ever
-CertifiedClassical or Inconclusive.
+CertifiedClassical or Inconclusive.  The inversions and the forward model
+behind the residuals both use the channel's per-offset transfer blocks
+(`channels.superoperator_of`), so an epsilon ladder reuses one cached
+decomposition.
 
 verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
@@ -68,7 +71,6 @@ __all__ = [
     "classicality_check",
     "nonclassicality_score",
     "nonclassicality_profile",
-    "distance_to_image",
     "default_battery",
     "verify_suite",
     "classicality_report_to_json",
@@ -133,8 +135,8 @@ def _regularized_preimage(state, order: int, epsilon: float,
         second = inverse_apply(spec, pre, epsilon=epsilon)
         pre = second.operator
         # Residual of the double round trip under the same forward model.
-        m = superoperator_of(spec, work.dim).matrix
-        forward = (m @ (m @ pre.matrix.reshape(-1))).reshape(work.dim, work.dim)
+        forward_map = superoperator_of(spec, work.dim)
+        forward = forward_map.apply_matrix(forward_map.apply_matrix(pre.matrix))
         residual = trace_distance(TruncatedOperator(forward), work)
     return pre, residual
 
@@ -195,20 +197,6 @@ def nonclassicality_profile(rho, order: int,
     ladder = tuple(sorted((float(e) for e in epsilons), reverse=True))
     return tuple((e, nonclassicality_score(rho, order, epsilon=e,
                                            work_dim=work_dim)) for e in ladder)
-
-
-def distance_to_image(rho, order: int = 1) -> float:
-    """Trace distance from `rho` to the image set of the smoothing channel.
-
-    Not implemented.  The quantity min over states sigma of
-    T(rho, C^order(sigma)) is a convex program over channel images and
-    would grade non-classicality geometrically, complementing the
-    eigenvalue scores above.  The certificates in this module only answer
-    the membership question.
-    """
-    raise NotImplementedError(
-        "distance-to-image is documented but deliberately out of scope; "
-        "use classicality_check / nonclassicality_score")
 
 
 def default_battery(dim: int = 64, seed: int = 7) -> list:

@@ -21,6 +21,13 @@ Trace bookkeeping: amplification grows support, so outputs default to a
 padded dimension; a PSD input that still loses trace beyond tolerance
 raises TraceLeakError (non-trace-class inputs like the parity operator are
 exempt, their truncated trace legitimately moves).
+
+Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
+same diagonal.  At a fixed dim every channel built from them is therefore
+one small real transfer block per offset e (`superoperator_of`), and the
+regularized inverse (`inverse_apply`) filters each diagonal through its
+block's SVD.  The blocks and their SVDs are cached per (spec, dim): O(dim^3)
+reals, shared by every epsilon.
 """
 
 from __future__ import annotations
@@ -203,6 +210,8 @@ def _spec_from_payload(payload) -> ChannelSpec:
                            epsilon=payload.get("epsilon", 1e-10))
     except KeyError as exc:
         raise ValidationError(f"channel spec {kind!r} missing field {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValidationError(f"channel spec {kind!r} has a malformed field: {exc}") from exc
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
@@ -229,6 +238,7 @@ def _shell_vector(j: int, length: int, log_kappa: float, log_ratio: float) -> np
     return np.exp(0.5 * (log_binom - m * log_kappa + j * log_ratio))
 
 
+@lru_cache(maxsize=256)
 def _amplifier_grown_dim(kappa: float, live: int, target: float = 1e-10) -> int:
     """Output dim sized so the discarded shell mass stays below `target`.
 
@@ -572,41 +582,43 @@ def coherent_projection(x, route: str = "compose",
         f"route must be 'compose', 'reversed' or 'projection', got {route!r}")
 
 
+def _offset_entries(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries <m|X|m+offset> of a dim-level X."""
+    i = np.arange(dim - abs(offset))
+    return i + max(0, -offset), i + max(0, offset)
+
+
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Row-major matrix form: vec(out) = matrix @ vec(in)."""
+    """A channel at fixed dim as per-offset real transfer blocks.
+
+    The channel maps the diagonal <m|X|m+e> onto the same diagonal, so
+    `blocks[e]` (square, dim - e levels) acts on offset e and, being real,
+    equally on offset -e.  `matrix` assembles the row-major dense form,
+    vec(out) = matrix @ vec(in), on access.
+    """
 
     spec: ChannelSpec
     dim: int
-    matrix: np.ndarray
+    blocks: tuple
+
+    @property
+    def matrix(self) -> np.ndarray:
+        n = self.dim
+        out = np.zeros((n * n, n * n), dtype=np.complex128)
+        for offset in range(1 - n, n):
+            rows, cols = _offset_entries(n, offset)
+            flat = rows * n + cols
+            out[np.ix_(flat, flat)] = self.blocks[abs(offset)]
+        return out
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(mat, dtype=np.complex128).reshape(-1)).reshape(
-            self.dim, self.dim)
-
-
-def _kraus_stack(spec: ChannelSpec, dim: int) -> list[np.ndarray]:
-    if isinstance(spec, Amplifier):
-        return _amplifier_kraus(spec.kappa, dim, dim)
-    if isinstance(spec, Attenuator):
-        return list(attenuator_kraus(spec.transmissivity, dim).matrices)
-    raise ValidationError(f"no Kraus stack for {spec!r}")
-
-
-@lru_cache(maxsize=16)
-def _superoperator_matrix(spec: ChannelSpec, dim: int) -> np.ndarray:
-    if isinstance(spec, AdditiveNoise):
-        return _superoperator_matrix(additive_noise_expansion(spec), dim)
-    if isinstance(spec, Inverse):
-        raise ValidationError(
-            "a regularized inverse has no exact superoperator; use inverse_apply")
-    if isinstance(spec, Compose):
-        return _compose_superoperator(spec, dim)
-    mats = _kraus_stack(spec, dim)
-    total = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for k in mats:
-        total += np.kron(k, k.conj())
-    return total
+        mat = np.asarray(mat, dtype=np.complex128)
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for offset in range(1 - self.dim, self.dim):
+            entries = _offset_entries(self.dim, offset)
+            out[entries] = self.blocks[abs(offset)] @ mat[entries]
+        return out
 
 
 def _atoms_in_application_order(spec: ChannelSpec) -> list:
@@ -623,84 +635,87 @@ def _atoms_in_application_order(spec: ChannelSpec) -> list:
         "a regularized inverse has no exact superoperator; use inverse_apply")
 
 
-def _diagonal_transfer(atom, offset: int, cur_dim: int) -> tuple[np.ndarray, int]:
-    """Transfer matrix of one atom restricted to diagonal offset `offset`.
+def _binomial_block(upper: np.ndarray, lower: np.ndarray, offset: int,
+                    log_weight: np.ndarray) -> np.ndarray:
+    """sqrt(binom(u, l) binom(u+offset, l+offset)) exp(log_weight) for u >= l.
 
-    Both channel atoms preserve the diagonal offset m - n, so their action
-    splits into independent small matrices, one per diagonal.
+    `upper` and `lower` broadcast to the (row, col) grid; entries with
+    u < l are zero.  Log-factorials come from one table, sized for both
+    grids: a cropped `upper` can stop below the largest `lower`.
     """
+    top = max(upper.max(), lower.max()) + offset
+    log_fact = gammaln(np.arange(1.0, top + 2.0))
+    shift = np.maximum(upper - lower, 0)
+    log_binom = (log_fact[upper] + log_fact[upper + offset] - log_fact[lower]
+                 - log_fact[lower + offset] - 2.0 * log_fact[shift])
+    return np.exp(np.where(upper >= lower, 0.5 * log_binom + log_weight, -np.inf))
+
+
+def _diagonal_transfer(atom, offset: int, cur_dim: int,
+                       rows: int | None) -> tuple[np.ndarray, int]:
+    """Transfer matrix of one atom on diagonal `offset` of a cur_dim operator.
+
+    Shell j of either atom links level n to level n - j (attenuator) or
+    n + j (amplifier) with the shell-kernel weights; on a diagonal the
+    weights of the entry's row and column multiply.  Only the first `rows`
+    output levels are built (all for None).  Returns the block and the
+    atom's output dim.
+    """
+    width = cur_dim - offset
     if isinstance(atom, Attenuator):
         lam = atom.transmissivity
-        width = cur_dim - offset
         if lam == 1.0:
-            return np.eye(width), cur_dim
-        t = np.zeros((width, width))
+            return np.eye(width)[:rows], cur_dim
         if lam == 0.0:
+            t = np.zeros((width, width))
             if offset == 0:
                 t[0, :] = 1.0
-            return t, cur_dim
-        log_lam, log_rest = math.log(lam), math.log(1.0 - lam)
-        for j in range(cur_dim):
-            length = width - j
-            if length <= 0:
-                break
-            g_low = _shell_vector(j, length, -log_lam, log_rest)
-            g_high = _shell_vector(j, length + offset, -log_lam, log_rest)[offset:]
-            t[np.arange(length), np.arange(j, j + length)] = g_low * g_high
-        return t, cur_dim
+            return t[:rows], cur_dim
+        p, n = np.arange(width)[:rows, None], np.arange(width)  # p from n
+        log_weight = (p + 0.5 * offset) * math.log(lam) + (n - p) * math.log(1.0 - lam)
+        return _binomial_block(n, p, offset, log_weight), cur_dim
     if isinstance(atom, Amplifier):
         kappa = atom.kappa
-        width_in = cur_dim - offset
         if kappa == 1.0:
-            return np.eye(width_in), cur_dim
+            return np.eye(width)[:rows], cur_dim
         out_dim = _amplifier_grown_dim(kappa, cur_dim)
-        width_out = out_dim - offset
-        log_kappa = math.log(kappa)
-        log_ratio = math.log((kappa - 1.0) / kappa)
-        t = np.zeros((width_out, width_in))
-        for j in range(width_out):
-            length = min(width_in, width_out - j)
-            g_low = _shell_vector(j, length, log_kappa, log_ratio)
-            g_high = _shell_vector(j, length + offset, log_kappa, log_ratio)[offset:]
-            t[np.arange(j, j + length), np.arange(length)] = g_low * g_high / kappa
-        return t, out_dim
+        p, n = np.arange(out_dim - offset)[:rows, None], np.arange(width)
+        log_weight = ((p - n) * math.log((kappa - 1.0) / kappa)
+                      - (n + 0.5 * offset + 1.0) * math.log(kappa))
+        return _binomial_block(p, n, offset, log_weight), out_dim
     raise ValidationError(f"not a channel atom: {atom!r}")
 
 
-def _compose_superoperator(spec: Compose, dim: int) -> np.ndarray:
-    """Columns are images of matrix units under the grown-then-cropped
-    pipeline; a product of square-cropped factor superoperators would crop
+@lru_cache(maxsize=16)
+def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
+    """Per-offset blocks of the grown-then-cropped pipeline and their SVDs.
+
+    A block is the transfer of the whole atom chain, cropped only after the
+    last stage; a product of square-cropped factor blocks would crop
     between the stages instead, discarding mass the later stages fold back
     below dim and spoiling the small singular values the inverse needs.
-    Offset preservation reduces the build to per-diagonal transfers.
+    Returns (blocks, svds) with svds[e] = (U, s, V^T) of blocks[e].
     """
     atoms = _atoms_in_application_order(spec)
-    total = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    blocks, svds = [], []
     for offset in range(dim):
-        transfer = np.eye(dim - offset)
-        cur_dim = dim
-        for atom in atoms:
-            step, cur_dim = _diagonal_transfer(atom, offset, cur_dim)
-            transfer = step @ transfer
-        block = transfer[:dim - offset, :]
-        rows = np.arange(dim - offset)
-        cols = np.arange(dim - offset)
-        upper_rows = rows * dim + rows + offset
-        upper_cols = cols * dim + cols + offset
-        total[np.ix_(upper_rows, upper_cols)] = block
-        if offset:
-            lower_rows = (rows + offset) * dim + rows
-            lower_cols = (cols + offset) * dim + cols
-            total[np.ix_(lower_rows, lower_cols)] = block
-    return total
+        block, cur_dim = np.eye(dim - offset), dim
+        for k, atom in enumerate(atoms, start=1):
+            rows = dim - offset if k == len(atoms) else None
+            step, cur_dim = _diagonal_transfer(atom, offset, cur_dim, rows)
+            block = step @ block
+        block.setflags(write=False)  # shared by every caller of the cache
+        blocks.append(block)
+        svds.append(np.linalg.svd(block))
+    return tuple(blocks), tuple(svds)
 
 
 def superoperator_of(spec: ChannelSpec, dim: int) -> Superoperator:
-    """Square matrix form at fixed dim (amplifier growth is cropped there)."""
+    """Transfer blocks at fixed dim (amplifier growth is cropped there)."""
     if dim < 1:
         raise ValidationError(f"dimension must be positive, got {dim}")
-    mat = _superoperator_matrix(spec, int(dim))
-    return Superoperator(spec=spec, dim=int(dim), matrix=mat)
+    blocks, _ = _transfer_blocks(spec, int(dim))
+    return Superoperator(spec=spec, dim=int(dim), blocks=blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,39 +725,33 @@ class InverseResult:
     epsilon: float
 
 
-@lru_cache(maxsize=16)
-def _tikhonov_solver(spec: ChannelSpec, dim: int, epsilon: float):
-    from scipy.linalg import cho_factor
-
-    m = _superoperator_matrix(spec, dim)
-    gram = m.conj().T @ m + epsilon * np.eye(dim * dim, dtype=np.complex128)
-    return cho_factor(gram), m
-
-
 def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10,
                   max_residual: float | None = None) -> InverseResult:
     """Tikhonov-regularized preimage: argmin |C(Y) - X|^2 + eps |Y|^2.
 
-    The residual reports the trace distance between C(Y) and X; the forward
-    map only, never the regularizer, decides whether the preimage is
-    trustworthy.  Hermitian inputs get Hermitian preimages (the exact
-    preimage is, and projecting cannot grow the residual of a Hermitian-
-    covariant map).
+    The problem splits by diagonal offset; with the SVD U diag(s) V^T of
+    the offset's transfer block the minimiser is V diag(s / (s^2 + eps))
+    U^T applied to that diagonal of X.  The residual reports the trace
+    distance between C(Y) and X; the forward map only, never the
+    regularizer, decides whether the preimage is trustworthy.  Hermitian
+    inputs get Hermitian preimages (the exact preimage is, and projecting
+    cannot grow the residual of a Hermitian-covariant map).
     """
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     op = _as_operator(x)
     mat = op.matrix
     dim = mat.shape[0]
-    from scipy.linalg import cho_solve
-
-    factor, m = _tikhonov_solver(spec, dim, float(epsilon))
-    rhs = m.conj().T @ mat.reshape(-1)
-    y = cho_solve(factor, rhs).reshape(dim, dim)
+    blocks, svds = _transfer_blocks(spec, dim)
+    y = np.zeros((dim, dim), dtype=np.complex128)
+    for offset in range(1 - dim, dim):
+        entries = _offset_entries(dim, offset)
+        u, s, vt = svds[abs(offset)]
+        y[entries] = vt.T @ (s / (s * s + epsilon) * (u.T @ mat[entries]))
     scale = max(1.0, float(np.max(np.abs(mat))))
     if hermiticity_defect(mat) <= 1e-10 * scale:
         y = 0.5 * (y + y.conj().T)
-    forward = (m @ y.reshape(-1)).reshape(dim, dim)
+    forward = Superoperator(spec=spec, dim=dim, blocks=blocks).apply_matrix(y)
     residual = trace_distance(forward, mat)
     result = InverseResult(
         operator=TruncatedOperator(y, label=f"inverse[{op.label}]"),

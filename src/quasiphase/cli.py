@@ -14,8 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Mapping
 
 from .analysis import (
     CHECK_NAMES,
@@ -25,7 +23,7 @@ from .analysis import (
     verify_suite,
 )
 from .channels import apply, channel_diagnostics, spec_from_json
-from .errors import QuasiphaseError, SpecParseError, ValidationError
+from .errors import QuasiphaseError, SpecParseError
 from .fock import (
     coherent_state,
     displaced_parity,
@@ -42,33 +40,12 @@ from .phasespace import (
     sample,
 )
 
-__all__ = ["RunConfig", "parse_state_spec", "build_parser", "main"]
+__all__ = ["parse_state_spec", "build_parser", "main"]
 
 PSD_FLAG_TOLERANCE = 1e-8
 
 STATE_FORMS = ("vacuum", "fock:n", "coherent:re,im", "thermal:nbar",
                "parity:re,im", "file:path")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the flags shared by the verify command."""
-
-    dim: int = 64
-    grid_extent: float = 5.0
-    grid_step: float = 0.05
-    tolerances: Mapping[str, float] = field(default_factory=dict)
-    seed: int = 7
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.dim < 8:
-            raise ValidationError(f"dim must be >= 8, got {self.dim}")
-        for name, value in dict(self.tolerances).items():
-            if not value > 0.0:
-                raise ValidationError(
-                    f"tolerance {name!r} must be positive, got {value}")
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
 
 
 def _read_text(path: str) -> str:
@@ -220,22 +197,18 @@ def _parse_tolerances(pairs) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    run = RunConfig(dim=args.dim, grid_extent=args.grid_extent,
-                    grid_step=args.grid_step,
-                    tolerances=_parse_tolerances(args.tol),
-                    seed=args.seed, output_dir=args.out)
     only = None
     if args.only:
         only = tuple(name for chunk in args.only for name in chunk.split(",") if name)
-    config = VerifyConfig(dim=run.dim, grid_extent=run.grid_extent,
-                          grid_step=run.grid_step, seed=run.seed,
-                          tolerances=run.tolerances, only=only,
+    config = VerifyConfig(dim=args.dim, grid_extent=args.grid_extent,
+                          grid_step=args.grid_step, seed=args.seed,
+                          tolerances=_parse_tolerances(args.tol), only=only,
                           threads=args.threads)
     report = verify_suite(config)
     text = report_to_text(report)
-    _write_atomic(os.path.join(run.output_dir, "verify_report.json"),
+    _write_atomic(os.path.join(args.out, "verify_report.json"),
                   report_to_json(report))
-    _write_atomic(os.path.join(run.output_dir, "verify_report.txt"), text)
+    _write_atomic(os.path.join(args.out, "verify_report.txt"), text)
     sys.stdout.write(text)
     return 0 if report.passed else 1
 

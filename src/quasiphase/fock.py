@@ -431,9 +431,14 @@ def _embedded(mat: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _operator_of(x) -> TruncatedOperator:
+    return x.op if isinstance(x, DensityOperator) else x
+
+
 def embed(op: TruncatedOperator, dim: int) -> TruncatedOperator:
-    """Zero-pad an operator block up to `dim` levels."""
+    """Zero-pad an operator block (or a state's) up to `dim` levels."""
     dim = _check_dim(dim)
+    op = _operator_of(op)
     if dim < op.dim:
         raise InvalidDimensionError(f"embed target {dim} below operator dim {op.dim}")
     return TruncatedOperator(_embedded(op.matrix, dim), label=op.label,
@@ -441,8 +446,9 @@ def embed(op: TruncatedOperator, dim: int) -> TruncatedOperator:
 
 
 def crop(op: TruncatedOperator, dim: int) -> TruncatedOperator:
-    """Keep the low `dim`-level block of an operator."""
+    """Keep the low `dim`-level block of an operator (or a state's)."""
     dim = _check_dim(dim)
+    op = _operator_of(op)
     if dim > op.dim:
         raise InvalidDimensionError(f"crop target {dim} above operator dim {op.dim}")
     return TruncatedOperator(np.ascontiguousarray(op.matrix[:dim, :dim]),
@@ -485,12 +491,17 @@ def operator_from_json(text: str) -> TruncatedOperator:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"operator JSON is malformed: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError("operator JSON must be an object")
     for key in ("dim", "re", "im"):
         if key not in payload:
             raise ValidationError(f"operator JSON missing key {key!r}")
     dim = payload["dim"]
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload["im"], dtype=np.float64)
+    try:
+        re = np.asarray(payload["re"], dtype=np.float64)
+        im = np.asarray(payload["im"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"operator JSON parts are not real matrices: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"operator JSON parts have shapes {re.shape} and {im.shape}, "

@@ -14,7 +14,6 @@ from quasiphase.analysis import (
     classicality_check,
     classicality_report_to_json,
     default_battery,
-    distance_to_image,
     nonclassicality_profile,
     nonclassicality_score,
     psd_margin,
@@ -156,10 +155,6 @@ class TestNonclassicalityScore:
     def test_profile_rejects_empty_ladder(self):
         with pytest.raises(ValidationError):
             nonclassicality_profile(fock_state(0, 12), 1, epsilons=())
-
-    def test_distance_stub(self):
-        with pytest.raises(NotImplementedError):
-            distance_to_image(fock_state(0, 12))
 
 
 class TestDefaultBattery:

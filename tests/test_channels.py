@@ -8,11 +8,13 @@ by hand (vacuum, single photon, coherent covariance, bare parity).
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quasiphase import channels
 from quasiphase.channels import (
     AdditiveNoise,
     Amplifier,
@@ -132,6 +134,16 @@ class TestSpecs:
             spec_from_json('{"kind": "amplifier"}')
         with pytest.raises(ValidationError):
             spec_from_json('[1, 2]')
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "amplifier", "kappa": "big"}',
+        '{"kind": "inverse", "inner": {"kind": "attenuator", "lambda": 0.5}, '
+        '"epsilon": "tiny"}',
+        '{"kind": "compose", "items": 5}',
+    ])
+    def test_json_wrong_field_type(self, text):
+        with pytest.raises(ValidationError, match="malformed field"):
+            spec_from_json(text)
 
 
 class TestAmplifierKernel:
@@ -460,6 +472,23 @@ class TestSuperoperator:
         direct = apply(smoothing_channel(), rho)
         assert np.max(np.abs(via_super - direct.matrix[:40, :40])) < 1e-8
 
+    @pytest.mark.parametrize("spec", [
+        Compose((Amplifier(2.0), Amplifier(2.0))),
+        Compose((Amplifier(2.0), smoothing_channel())),
+        Compose((Amplifier(2.0), AdditiveNoise(1.0))),
+    ])
+    def test_chain_with_two_amplifiers(self, spec):
+        # The first amplifier grows the dim past d before the last one
+        # runs, so the last stage reads input levels above its crop.
+        d = 16
+        rho = random_density(d, rank=3, support=6, rng=5)
+        via_super = superoperator_of(spec, d).apply_matrix(rho.matrix)
+        direct = crop(apply(spec, rho), d)
+        assert np.max(np.abs(via_super - direct.matrix)) < 1e-12
+        res = inverse_apply(spec, via_super)
+        assert res.operator.dim == d
+        assert res.residual < 1e-5
+
     def test_dual_unital_on_low_block(self):
         # Trace preservation of the cropped amplifier, read off the
         # superoperator rows: partial-tracing the output index must give
@@ -469,6 +498,19 @@ class TestSuperoperator:
         folded = s.reshape(dim, dim, dim, dim)
         row_sums = np.einsum("iipq->pq", folded)
         assert_allclose(row_sums[:4, :4], np.eye(dim)[:4, :4], atol=1e-8)
+
+    @pytest.mark.parametrize("spec,kraus", [
+        (Attenuator(0.5), lambda d: attenuator_kraus(0.5, d).matrices),
+        (Attenuator(0.0), lambda d: attenuator_kraus(0.0, d).matrices),
+        (Amplifier(2.0), lambda d: channels._amplifier_kraus(2.0, d, d)),
+        (Amplifier(1.0), lambda d: channels._amplifier_kraus(1.0, d, d)),
+    ])
+    def test_atom_blocks_match_kraus_sum(self, spec, kraus):
+        # The operator-sum form sum_K K (x) conj(K) is an independent
+        # route to a single atom's superoperator.
+        d = 12
+        expected = sum(np.kron(k, k.conj()) for k in kraus(d))
+        assert_allclose(superoperator_of(spec, d).matrix, expected, atol=1e-14)
 
     def test_inverse_has_no_superoperator(self):
         with pytest.raises(ValidationError):
@@ -546,6 +588,35 @@ class TestInverse:
                           max_residual=1e-4)
         assert info.value.residual > 1e-4
         assert info.value.result is not None
+
+    @pytest.mark.parametrize("spec", [Attenuator(0.6), smoothing_channel()])
+    def test_matches_dense_tikhonov_minimiser(self, spec):
+        # The least-squares solution of the stacked system [M; sqrt(eps) I]
+        # is the Tikhonov minimiser, found here without the per-offset split.
+        # The non-Hermitian input differs between offsets +e and -e.
+        d, eps = 10, 1e-10
+        rng = np.random.default_rng(37)
+        m = superoperator_of(spec, d).matrix
+        stacked = np.vstack([m, math.sqrt(eps) * np.eye(d * d)])
+        inputs = [random_density(d, rank=3, rng=rng).matrix,
+                  rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))]
+        for x in inputs:
+            rhs = np.concatenate([x.reshape(-1), np.zeros(d * d)])
+            expected = np.linalg.lstsq(stacked, rhs, rcond=None)[0].reshape(d, d)
+            got = inverse_apply(spec, TruncatedOperator(x), epsilon=eps).operator
+            scale = float(np.max(np.abs(expected)))
+            assert np.max(np.abs(got.matrix - expected)) <= 1e-9 * scale
+
+    def test_cold_inverse_holds_no_dense_superoperator(self):
+        # A dense dim-64 superoperator alone is 64^4 complex entries, 268 MB.
+        channels._transfer_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            inverse_apply(smoothing_channel(), fock_state(1, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 268e6 / 10
 
     def test_epsilon_validated(self):
         with pytest.raises(ValidationError):

@@ -9,12 +9,13 @@ import pytest
 
 from quasiphase.channels import (
     Amplifier,
+    Compose,
     Inverse,
     smoothing_channel,
     spec_to_json,
 )
-from quasiphase.cli import RunConfig, main, parse_state_spec
-from quasiphase.errors import SpecParseError, ValidationError
+from quasiphase.cli import main, parse_state_spec
+from quasiphase.errors import SpecParseError
 from quasiphase.fock import operator_from_json, thermal_state, trace_distance
 
 
@@ -119,6 +120,32 @@ class TestChannelCommand:
         assert diag["psd_negative"] is True
         assert diag["psd_floor_out"] < -1.9
 
+    def test_inverse_of_two_amplifier_chain(self, tmp_path):
+        chan, state, out = tmp_path / "i.json", tmp_path / "v.json", tmp_path / "p.json"
+        chan.write_text(spec_to_json(
+            Inverse(Compose((Amplifier(2.0), smoothing_channel())))))
+        assert run("state", "vacuum", "--dim", 16, "--out", state) == 0
+        assert run("channel", chan, state, "--out", out) == 0
+        assert operator_from_json(out.read_text()).dim == 16
+
+    @pytest.mark.parametrize("channel_text,state_text", [
+        ('{"kind": "amplifier", "kappa": "big"}', None),
+        ('{"kind": "inverse", "inner": {"kind": "attenuator", "lambda": 0.5}, '
+         '"epsilon": "tiny"}', None),
+        ('{"kind": "compose", "items": 5}', None),
+        (None, '{"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}'),
+    ])
+    def test_malformed_json_exits_one(self, tmp_path, capsys, channel_text,
+                                      state_text):
+        chan, state = tmp_path / "c.json", tmp_path / "s.json"
+        chan.write_text(channel_text or spec_to_json(smoothing_channel()))
+        if state_text is None:
+            assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        else:
+            state.write_text(state_text)
+        assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert run("channel", tmp_path / "no.json", tmp_path / "no2.json",
                    "--out", tmp_path / "o.json") == 1
@@ -193,20 +220,6 @@ class TestVerifyCommand:
         code = run("verify", "--only", "no_such_check", "--out", tmp_path)
         assert code == 1
         assert "no_such_check" in capsys.readouterr().err
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.dim == 64
-        assert (config.grid_extent, config.grid_step) == (5.0, 0.05)
-        assert config.output_dir == "."
-
-    def test_rejects_small_dim_and_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            RunConfig(dim=7)
-        with pytest.raises(ValidationError):
-            RunConfig(tolerances={"photon_number_laws": 0.0})
 
 
 class TestAtomicWrites:

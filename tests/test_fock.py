@@ -266,6 +266,13 @@ class TestShapeTools:
         back = fock.crop(fock.embed(op, 9), 5)
         assert np.array_equal(back.matrix, op.matrix)
 
+    def test_crop_and_embed_accept_states(self):
+        state = fock.fock_state(0, 40)
+        cropped = fock.crop(state, 39)
+        assert cropped.dim == 39 and cropped.hermitian_hint
+        assert cropped.matrix[0, 0] == 1.0
+        assert fock.embed(state, 41).dim == 41
+
     def test_trim_dim_finds_live_block(self):
         state = fock.fock_state(2, 32)
         assert fock.trim_dim(state) == 3
@@ -293,6 +300,13 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError, match="malformed"):
             fock.operator_from_json("{not json")
+        with pytest.raises(ValidationError, match="an object"):
+            fock.operator_from_json("5")
+
+    def test_ragged_parts_rejected(self):
+        with pytest.raises(ValidationError, match="not real matrices"):
+            fock.operator_from_json('{"dim": 2, "re": [[1.0, 0.0], [0.0]], '
+                                    '"im": [[0.0, 0.0], [0.0, 0.0]]}')
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
