@@ -13,8 +13,9 @@ decomposition.
 verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
 image positivity) on a seeded state battery and reports deviations against
-per-check tolerances.  Checks are pure functions of the config; they run on
-a small thread pool and the suite always completes, converting per-check
+per-check tolerances.  Checks are pure functions of the config and run one
+after another; each battery state's smoothed image and its W samples are
+computed once and shared.  The suite always completes, converting per-check
 exceptions into failed entries rather than aborting.
 """
 
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -244,7 +244,6 @@ class VerifyConfig:
     seed: int = 7
     tolerances: Mapping[str, float] = field(default_factory=dict)
     only: tuple | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 8:
@@ -269,8 +268,6 @@ class VerifyConfig:
             if not chosen:
                 raise ValidationError("check selection must be non-empty")
             object.__setattr__(self, "only", chosen)
-        if self.threads is not None and self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "grid_extent", float(self.grid_extent))
         object.__setattr__(self, "grid_step", float(self.grid_step))
@@ -297,37 +294,54 @@ def _grid_of(config: VerifyConfig) -> PhaseGrid:
     return PhaseGrid(half_extent=config.grid_extent, spacing=config.grid_step)
 
 
-def _check_husimi_equals_wigner_of_smoothed(config, battery):
+@dataclass(frozen=True, eq=False)
+class _Ladder:
+    """One battery state and the rungs above it that several checks read.
+
+    Each field is computed on first access; an access that raises is not
+    cached, so every check that needs a failing rung records the error.
+    """
+
+    rho: object
+    grid: PhaseGrid
+
+    @cached_property
+    def smoothed(self):
+        return apply(smoothing_channel(), self.rho)
+
+    @cached_property
+    def w_smoothed(self):
+        return sample(self.smoothed, "W", self.grid)
+
+
+def _check_husimi_equals_wigner_of_smoothed(config, ladders):
     grid = _grid_of(config)
-    spec = smoothing_channel()
     dev = 0.0
-    for rho in battery:
-        q = sample(rho, "Q", grid)
-        w = sample(apply(spec, rho), "W", grid)
-        dev = max(dev, float(np.max(np.abs(q.values - w.values))))
+    for rung in ladders:
+        q = sample(rung.rho, "Q", grid)
+        dev = max(dev, float(np.max(np.abs(q.values - rung.w_smoothed.values))))
     return dev, None
 
 
-def _check_weierstrass_halfstep_matches_smoothed_wigner(config, battery):
+def _check_weierstrass_halfstep_matches_smoothed_wigner(config, ladders):
     # The half-step Gaussian smoothing of W must land on W of the smoothed
     # state.  Sampled on an enlarged grid so the convolution sees the full
     # mass, compared away from the edge where the truncated kernel bites.
     grid = PhaseGrid(half_extent=config.grid_extent + 1.25,
                      spacing=config.grid_step)
     mask = grid.interior_mask(2.0)
-    spec = smoothing_channel()
     dev = 0.0
-    for rho in battery:
-        lhs = weierstrass(sample(rho, "W", grid), 0.5)
-        rhs = sample(apply(spec, rho), "W", grid)
+    for rung in ladders:
+        lhs = weierstrass(sample(rung.rho, "W", grid), 0.5)
+        rhs = sample(rung.smoothed, "W", grid)
         dev = max(dev, float(np.max(np.abs(lhs.values - rhs.values)[mask])))
     return dev, None
 
 
-def _check_coherent_projection_route_agreement(config, battery):
+def _check_coherent_projection_route_agreement(config, ladders):
     dev = 0.0
-    for rho in battery:
-        outs = [coherent_projection(rho, route=r)
+    for rung in ladders:
+        outs = [coherent_projection(rung.rho, route=r)
                 for r in ("compose", "reversed", "projection")]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
@@ -345,7 +359,7 @@ def _smooth_cropped(op: TruncatedOperator, work: int) -> TruncatedOperator:
     return attenuator_apply(0.5, step)
 
 
-def _check_parity_smooths_to_coherent_state(config, battery):
+def _check_parity_smooths_to_coherent_state(config, ladders):
     window, work = config.dim, 4 * config.dim
     dev = 0.0
     for alpha in _PARITY_POINTS:
@@ -355,7 +369,7 @@ def _check_parity_smooths_to_coherent_state(config, battery):
     return dev, None
 
 
-def _check_parity_double_smooth_gaussian_mixture(config, battery):
+def _check_parity_double_smooth_gaussian_mixture(config, ladders):
     window, work = config.dim, 4 * config.dim
     dev = 0.0
     for alpha in _PARITY_POINTS:
@@ -367,12 +381,12 @@ def _check_parity_double_smooth_gaussian_mixture(config, battery):
     return dev, None
 
 
-def _check_amplified_vacuum_is_thermal(config, battery):
+def _check_amplified_vacuum_is_thermal(config, ladders):
     out = amplifier_apply(2.0, fock_state(0, config.dim))
     return trace_distance(out, thermal_state(1.0, out.dim)), None
 
 
-def _check_amplified_parity_is_half_vacuum(config, battery):
+def _check_amplified_parity_is_half_vacuum(config, ladders):
     dim = config.dim
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     parity = TruncatedOperator(np.diag(signs).astype(np.complex128),
@@ -385,15 +399,13 @@ def _check_amplified_parity_is_half_vacuum(config, battery):
     return trace_distance(out, TruncatedOperator(target)), None
 
 
-def _check_photon_number_laws(config, battery):
-    spec = smoothing_channel()
-    dev = 0.0
+def _check_photon_number_laws(config, ladders):
     att_scaling = att_affine = smooth_half = smooth_unit = amp_law = 0.0
-    for rho in battery:
-        n_in = mean_photon(rho)
-        amp = mean_photon(amplifier_apply(2.0, rho))
-        att = mean_photon(attenuator_apply(0.5, rho))
-        smooth = mean_photon(apply(spec, rho))
+    for rung in ladders:
+        n_in = mean_photon(rung.rho)
+        amp = mean_photon(amplifier_apply(2.0, rung.rho))
+        att = mean_photon(attenuator_apply(0.5, rung.rho))
+        smooth = mean_photon(rung.smoothed)
         amp_law = max(amp_law, abs(amp - (2.0 * n_in + 1.0)))
         att_scaling = max(att_scaling, abs(att - 0.5 * n_in))
         att_affine = max(att_affine, abs(att - (0.5 * n_in + 0.5)))
@@ -413,22 +425,19 @@ def _check_photon_number_laws(config, battery):
     return dev, discrepancies
 
 
-def _check_smoothed_image_wigner_positive(config, battery):
-    grid = _grid_of(config)
-    spec = smoothing_channel()
+def _check_smoothed_image_wigner_positive(config, ladders):
     dev = 0.0
-    for rho in battery:
-        values = sample(apply(spec, rho), "W", grid).values
+    for rung in ladders:
+        values = rung.w_smoothed.values
         dev = max(dev, max(0.0, -float(values.min())))
     return dev, None
 
 
-def _check_double_smoothed_image_wigner_positive(config, battery):
+def _check_double_smoothed_image_wigner_positive(config, ladders):
     grid = _grid_of(config)
-    spec = smoothing_channel()
     dev = 0.0
-    for rho in battery:
-        values = sample(apply(spec, apply(spec, rho)), "W", grid).values
+    for rung in ladders:
+        values = sample(apply(smoothing_channel(), rung.smoothed), "W", grid).values
         dev = max(dev, max(0.0, -float(values.min())))
     return dev, None
 
@@ -459,79 +468,52 @@ _CHECKS: tuple = (
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
-def _thread_count(config: VerifyConfig, n_jobs: int) -> int:
-    if config.threads is not None:
-        return max(1, min(config.threads, n_jobs))
-    env = os.environ.get("QUASIPHASE_THREADS", "").strip()
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"QUASIPHASE_THREADS must be an integer, got {env!r}") from None
-        if requested < 1:
-            raise ValidationError(
-                f"QUASIPHASE_THREADS must be >= 1, got {requested}")
-        return min(requested, n_jobs)
-    return max(1, min(4, os.cpu_count() or 1, n_jobs))
-
-
 def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     """Run the selected checks and aggregate one report.
 
     A check that raises is recorded as failed with the error message in its
-    note; the suite itself always completes.  Results are deterministic for
-    a fixed config: the battery is seeded and no check consults global
-    state beyond the thread cap.
+    note; the suite itself always completes.  Checks run in order in the
+    calling thread and share one lazily built `_Ladder` per battery state.
+    Results are deterministic for a fixed config: the battery is seeded and
+    no check consults global state.
     """
     config = config or VerifyConfig()
     selected = [c for c in _CHECKS if config.only is None or c[0] in config.only]
     start = time.perf_counter()
 
-    battery, battery_note = None, ""
+    ladders, battery_note = None, ""
     if any(needs for _, _, needs, _ in selected):
         try:
-            battery = default_battery(config.dim, config.seed)
+            grid = _grid_of(config)
+            ladders = [_Ladder(rho, grid)
+                       for rho in default_battery(config.dim, config.seed)]
         except QuasiphaseError as err:
             battery_note = f"battery construction failed: {err}"
 
-    def run_one(entry) -> tuple:
-        name, default_tol, needs_battery, runner = entry
+    checks = []
+    discrepancies: dict = {}
+    for name, default_tol, needs_battery, runner in selected:
         tolerance = float(config.tolerances.get(name, default_tol))
         t0 = time.perf_counter()
-        extra = None
-        if needs_battery and battery is None:
+        if needs_battery and ladders is None:
             deviation, note = math.inf, battery_note
         else:
             try:
-                deviation, extra = runner(config, battery)
+                deviation, extra = runner(config, ladders)
                 note = ""
+                discrepancies.update(extra or {})
             except QuasiphaseError as err:
                 deviation, note = math.inf, f"{type(err).__name__}: {err}"
-        runtime = time.perf_counter() - t0
-        result = CheckResult(name=name, deviation=float(deviation),
-                             tolerance=tolerance,
-                             passed=bool(deviation <= tolerance),
-                             runtime_s=runtime, note=note)
-        return result, extra
-
-    workers = _thread_count(config, len(selected))
-    if workers == 1:
-        outcomes = [run_one(entry) for entry in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, selected))
-
-    discrepancies: dict = {}
-    for _, extra in outcomes:
-        if extra:
-            discrepancies.update(extra)
+        checks.append(CheckResult(name=name, deviation=float(deviation),
+                                  tolerance=tolerance,
+                                  passed=bool(deviation <= tolerance),
+                                  runtime_s=time.perf_counter() - t0, note=note))
     return VerificationReport(
         dim=config.dim,
         grid_extent=config.grid_extent,
         grid_step=config.grid_step,
         seed=config.seed,
-        checks=tuple(result for result, _ in outcomes),
+        checks=tuple(checks),
         discrepancies=discrepancies,
         runtime_s=time.perf_counter() - start,
     )

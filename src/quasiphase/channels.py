@@ -145,6 +145,7 @@ class Inverse:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValidationError(f"inverse epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 ChannelSpec = Union[Amplifier, Attenuator, Compose, AdditiveNoise, Inverse]
@@ -192,22 +193,29 @@ def spec_from_json(text: str) -> ChannelSpec:
     return _spec_from_payload(payload)
 
 
+def _json_number(value):
+    # bool is an int subclass, but JSON true / false are not numbers.
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _spec_from_payload(payload) -> ChannelSpec:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValidationError(f"channel spec needs a 'kind' key, got {payload!r}")
     kind = payload["kind"]
     try:
         if kind == "amplifier":
-            return Amplifier(payload["kappa"])
+            return Amplifier(_json_number(payload["kappa"]))
         if kind == "attenuator":
-            return Attenuator(payload["lambda"])
+            return Attenuator(_json_number(payload["lambda"]))
         if kind == "compose":
             return Compose(tuple(_spec_from_payload(p) for p in payload["items"]))
         if kind == "additive_noise":
-            return AdditiveNoise(payload["noise"])
+            return AdditiveNoise(_json_number(payload["noise"]))
         if kind == "inverse":
             return Inverse(_spec_from_payload(payload["inner"]),
-                           epsilon=payload.get("epsilon", 1e-10))
+                           epsilon=_json_number(payload.get("epsilon", 1e-10)))
     except KeyError as exc:
         raise ValidationError(f"channel spec {kind!r} missing field {exc}") from exc
     except TypeError as exc:  # a field of the wrong JSON type

@@ -202,8 +202,7 @@ def _cmd_verify(args) -> int:
         only = tuple(name for chunk in args.only for name in chunk.split(",") if name)
     config = VerifyConfig(dim=args.dim, grid_extent=args.grid_extent,
                           grid_step=args.grid_step, seed=args.seed,
-                          tolerances=_parse_tolerances(args.tol), only=only,
-                          threads=args.threads)
+                          tolerances=_parse_tolerances(args.tol), only=only)
     report = verify_suite(config)
     text = report_to_text(report)
     _write_atomic(os.path.join(args.out, "verify_report.json"),
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-check tolerance override, repeatable")
     verify.add_argument("--only", action="append", metavar="NAME[,NAME...]",
                         help=f"run a subset of: {', '.join(CHECK_NAMES)}")
-    verify.add_argument("--threads", type=int, default=None)
     verify.add_argument("--out", default=".",
                         help="directory for verify_report.{json,txt}")
     verify.set_defaults(func=_cmd_verify)

@@ -250,13 +250,17 @@ def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
 
 
 def _coherent_block(alphas_flat: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of <n|alpha_p> for n < dim; exact truncated amplitudes."""
+    """Rows of <n|alpha_p> for n < dim; exact truncated amplitudes.
+
+    The recurrence fills a (dim, points) array so each level is one
+    contiguous write; the (points, dim) view of it is returned.
+    """
     y = np.abs(alphas_flat) ** 2
-    out = np.empty((alphas_flat.size, dim), dtype=np.complex128)
-    out[:, 0] = np.exp(-0.5 * y)
+    out = np.empty((dim, alphas_flat.size), dtype=np.complex128)
+    out[0] = np.exp(-0.5 * y)
     for n in range(1, dim):
-        out[:, n] = out[:, n - 1] * alphas_flat / math.sqrt(n)
-    return out
+        out[n] = out[n - 1] * alphas_flat / math.sqrt(n)
+    return out.T
 
 
 def _displacement_trace_grid(mat: np.ndarray, betas) -> np.ndarray:
@@ -461,6 +465,10 @@ def distribution_from_json(text: str) -> QuasiDistribution:
         )
     except KeyError as exc:
         raise ValidationError(f"distribution JSON missing key {exc}") from exc
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+        raise ValidationError(f"distribution JSON is not a distribution: {exc}") from exc
 
 
 def distribution_to_csv(dist: QuasiDistribution) -> str:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quasiphase import analysis
 from quasiphase.analysis import (
     CHECK_NAMES,
     ClassicalityReport,
@@ -189,7 +190,6 @@ class TestVerifyConfig:
         {"tolerances": {"photon_number_laws": 0.0}},
         {"only": ("no_such_check",)},
         {"only": ()},
-        {"threads": 0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -250,24 +250,43 @@ class TestVerifySuite:
         assert a.discrepancies["amplifier_law_max_residual"] == \
             b.discrepancies["amplifier_law_max_residual"]
 
-    def test_serial_thread_count(self):
-        config = VerifyConfig(only=("amplified_vacuum_is_thermal",), threads=1,
-                              **REDUCED)
+    @pytest.mark.parametrize("only", [None, ("smoothed_image_wigner_positive",)])
+    def test_smoothed_ladder_built_once_per_state(self, monkeypatch, only):
+        # Each battery state is smoothed once, and W of its image is sampled
+        # once on the suite grid, however many checks read them.
+        batteries, applied, sampled = [], [], []
+        original_battery = analysis.default_battery
+        original_apply, original_sample = analysis.apply, analysis.sample
+
+        def battery(*args):
+            batteries.append(original_battery(*args))
+            return batteries[-1]
+
+        def counting_apply(spec, x, *args, **kwargs):
+            out = original_apply(spec, x, *args, **kwargs)
+            applied.append((spec, x, out))
+            return out
+
+        def counting_sample(x, kind, grid, *args, **kwargs):
+            sampled.append((x, kind, grid))
+            return original_sample(x, kind, grid, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "default_battery", battery)
+        monkeypatch.setattr(analysis, "apply", counting_apply)
+        monkeypatch.setattr(analysis, "sample", counting_sample)
+        config = VerifyConfig(only=only, **REDUCED)
         assert verify_suite(config).passed
 
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("QUASIPHASE_THREADS", "2")
-        config = VerifyConfig(only=("amplified_vacuum_is_thermal",), **REDUCED)
-        assert verify_suite(config).passed
-
-    def test_thread_env_rejected(self, monkeypatch):
-        config = VerifyConfig(only=("amplified_vacuum_is_thermal",), **REDUCED)
-        monkeypatch.setenv("QUASIPHASE_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            verify_suite(config)
-        monkeypatch.setenv("QUASIPHASE_THREADS", "0")
-        with pytest.raises(ValidationError):
-            verify_suite(config)
+        (states,) = batteries
+        suite_grid = analysis.PhaseGrid(half_extent=config.grid_extent,
+                                        spacing=config.grid_step)
+        for rho in states:
+            images = [out for spec, x, out in applied
+                      if x is rho and spec == smoothing_channel()]
+            w_samples = [x for x, kind, grid in sampled
+                         if kind == "W" and grid == suite_grid
+                         and any(x is image for image in images)]
+            assert (len(images), len(w_samples)) == (1, 1)
 
 
 class TestReportSerialization:

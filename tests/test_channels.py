@@ -145,6 +145,17 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="malformed field"):
             spec_from_json(text)
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "amplifier", "kappa": true}',
+        '{"kind": "attenuator", "lambda": false}',
+        '{"kind": "additive_noise", "noise": true}',
+        '{"kind": "inverse", "inner": {"kind": "attenuator", "lambda": 0.5}, '
+        '"epsilon": true}',
+    ])
+    def test_json_boolean_is_not_a_number(self, text):
+        with pytest.raises(ValidationError, match="malformed field"):
+            spec_from_json(text)
+
 
 class TestAmplifierKernel:
     def test_gain_one_is_identity(self):

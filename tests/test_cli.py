@@ -134,6 +134,7 @@ class TestChannelCommand:
          '"epsilon": "tiny"}', None),
         ('{"kind": "compose", "items": 5}', None),
         (None, '{"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}'),
+        ('{"kind": "amplifier", "kappa": true}', None),
     ])
     def test_malformed_json_exits_one(self, tmp_path, capsys, channel_text,
                                       state_text):

@@ -5,6 +5,7 @@ parity kernel vs diagonal recurrences vs characteristic-function quadrature)
 and are cross-checked here; number-state closed forms pin both absolutely.
 """
 
+import json
 import math
 
 import numpy as np
@@ -311,3 +312,16 @@ class TestSerialization:
             ps.distribution_from_json("]")
         with pytest.raises(ValidationError):
             ps.distribution_from_json("{}")
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"grid": 5, "kind": "W", "values": [[0.0]]},
+        {"grid": {"center_re": 0.0, "center_im": 0.0, "half_extent": "x",
+                  "spacing": 1.0}, "kind": "W", "values": [[0.0]]},
+        {"grid": {"center_re": 0.0, "center_im": 0.0, "half_extent": 1.0,
+                  "spacing": 1.0}, "kind": "W",
+         "values": [[0.0, 0.0, 0.0], [0.0], [0.0, 0.0, 0.0]]},
+    ])
+    def test_json_wrong_field_type(self, payload):
+        with pytest.raises(ValidationError, match="not a distribution"):
+            ps.distribution_from_json(json.dumps(payload))
