@@ -248,8 +248,8 @@ class VerifyConfig:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 8:
             raise ValidationError(f"dim must be an integer >= 8, got {self.dim!r}")
-        if not (self.grid_extent > 0.0 and self.grid_step > 0.0):
-            raise ValidationError("grid extent and step must be positive")
+        if not (0.0 < self.grid_extent < math.inf and 0.0 < self.grid_step < math.inf):
+            raise ValidationError("grid extent and step must be positive and finite")
         if self.grid_extent < self.grid_step:
             raise ValidationError("grid extent below grid step")
         names = set(CHECK_NAMES)

@@ -51,6 +51,7 @@ from .errors import (
 )
 from .fock import (
     TruncatedOperator,
+    _json_number,
     hermiticity_defect,
     trace_distance,
     trim_dim,
@@ -191,13 +192,6 @@ def spec_from_json(text: str) -> ChannelSpec:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"channel JSON is malformed: {exc}") from exc
     return _spec_from_payload(payload)
-
-
-def _json_number(value):
-    # bool is an int subclass, but JSON true / false are not numbers.
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
 
 
 def _spec_from_payload(payload) -> ChannelSpec:

@@ -485,6 +485,20 @@ def operator_to_json(op: TruncatedOperator) -> str:
     return json.dumps(payload)
 
 
+def _json_number(value):
+    """`value` itself, unless it or an entry of its nested lists is a JSON boolean.
+
+    bool is an int subclass, so numpy and float() read true / false as 1 / 0,
+    but they are not numbers in JSON: raise TypeError for the caller's handler.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, list):
+        for item in value:
+            _json_number(item)
+    return value
+
+
 def operator_from_json(text: str) -> TruncatedOperator:
     """Parse the interchange form produced by operator_to_json."""
     try:
@@ -497,9 +511,11 @@ def operator_from_json(text: str) -> TruncatedOperator:
         if key not in payload:
             raise ValidationError(f"operator JSON missing key {key!r}")
     dim = payload["dim"]
+    if isinstance(dim, bool):
+        raise ValidationError(f"operator JSON dim must be an integer, got {dim!r}")
     try:
-        re = np.asarray(payload["re"], dtype=np.float64)
-        im = np.asarray(payload["im"], dtype=np.float64)
+        re = np.asarray(_json_number(payload["re"]), dtype=np.float64)
+        im = np.asarray(_json_number(payload["im"]), dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"operator JSON parts are not real matrices: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

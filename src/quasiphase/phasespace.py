@@ -13,7 +13,8 @@ Point evaluators (`q_at`, `w_at`, `w_char_at`) are kept deliberately
 independent of the vectorized grid evaluators used by `sample`, so each can
 certify the other: `w_at` builds the parity kernel by padded exponentiation,
 while the grid path runs stable three-term recurrences along the matrix
-diagonals (all intermediates are displacement matrix elements, bounded by 1).
+diagonals once per distinct |beta|^2 (every intermediate is a displacement
+matrix element, bounded by 1) and sums their phases by Horner's rule.
 
 The Weierstrass transform `weierstrass` smooths a sampled distribution with
 a Gaussian of variance t; t = 1/2 shifts P -> W -> Q one rung, t = 1 maps
@@ -22,6 +23,7 @@ P -> Q directly, and the semigroup law composes in t.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
@@ -35,7 +37,8 @@ from .errors import (
     SingularPError,
     ValidationError,
 )
-from .fock import DensityOperator, TruncatedOperator, displaced_parity, trim_dim
+from .fock import (DensityOperator, TruncatedOperator, _json_number,
+                   displaced_parity, trim_dim)
 
 __all__ = [
     "GRID_TOLERANCE",
@@ -71,6 +74,11 @@ class PhaseGrid:
     spacing: float = 0.05
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.half_extent)
+                and math.isfinite(self.spacing)):
+            raise ValidationError(
+                f"grid geometry must be finite, got center {self.center}, "
+                f"half extent {self.half_extent}, spacing {self.spacing}")
         if not (self.spacing > 0.0):
             raise ValidationError(f"grid spacing must be positive, got {self.spacing}")
         if self.half_extent < self.spacing:
@@ -151,16 +159,14 @@ class NegativityReport:
     negative_volume: float
 
 
-def _matrix_and_hint(x) -> tuple[np.ndarray, bool]:
-    if isinstance(x, DensityOperator):
-        return x.matrix, True
-    if isinstance(x, TruncatedOperator):
-        return x.matrix, x.hermitian_hint
+def _operator_matrix(x) -> np.ndarray:
+    if isinstance(x, (DensityOperator, TruncatedOperator)):
+        return x.matrix
     raise ValidationError(f"expected an operator, got {type(x).__name__}")
 
 
-def _real_guard(value: complex, hinted: bool, what: str) -> float:
-    if hinted and abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+def _real_guard(value: complex, what: str) -> float:
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         raise ValidationError(f"{what} of a Hermitian operator has imaginary "
                               f"part {value.imag:.3e}")
     return float(value.real)
@@ -173,18 +179,18 @@ def q_at(x, alpha: complex) -> float:
     space; no tail gate is applied here, so the value degrades gracefully to
     0 far outside the represented region instead of refusing.
     """
-    mat, hinted = _matrix_and_hint(x)
+    mat = _operator_matrix(x)
     amps = _coherent_block(np.array([complex(alpha)]), mat.shape[0])[0]
     val = complex(amps.conj() @ mat @ amps)
-    return _real_guard(val, hinted or True, "Husimi value")
+    return _real_guard(val, "Husimi value")
 
 
 def w_at(x, alpha: complex) -> float:
     """Tr[X pi(alpha)] with the parity kernel built by padded exponentiation."""
-    mat, hinted = _matrix_and_hint(x)
+    mat = _operator_matrix(x)
     kernel = displaced_parity(alpha, mat.shape[0]).matrix
     val = complex(np.sum(mat * kernel.T))
-    return _real_guard(val, hinted or True, "Wigner value")
+    return _real_guard(val, "Wigner value")
 
 
 def w_char_at(x, alpha: complex, betagrid: PhaseGrid,
@@ -197,7 +203,7 @@ def w_char_at(x, alpha: complex, betagrid: PhaseGrid,
     the boundary ring must stay below `boundary_tolerance` (tuned to the
     ~5e-3 accuracy this quadrature is used for; tighten for more).
     """
-    mat, hinted = _matrix_and_hint(x)
+    mat = _operator_matrix(x)
     betas = betagrid.alphas()
     chi = _displacement_trace_grid(mat, betas)
     edge = float(np.max(np.abs(chi[betagrid.boundary_mask()])))
@@ -210,7 +216,7 @@ def w_char_at(x, alpha: complex, betagrid: PhaseGrid,
     phase = np.exp(alpha * betas.conj() - np.conj(alpha) * betas)
     h = betagrid.spacing
     val = complex(np.sum(chi * phase) * (h * h / math.pi))
-    return _real_guard(val, hinted or True, "Wigner quadrature value")
+    return _real_guard(val, "Wigner quadrature value")
 
 
 def p_thermal_at(nbar: float, alpha: complex) -> float:
@@ -226,7 +232,7 @@ def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
     (vacuum-like) case is the delta limit and maps to GaussianP(0), whose
     evaluation raises SingularPError.
     """
-    mat, _ = _matrix_and_hint(x)
+    mat = _operator_matrix(x)
     dim = mat.shape[0]
     off = mat - np.diag(np.diagonal(mat))
     if float(np.max(np.abs(off))) > diag_tolerance:
@@ -266,38 +272,40 @@ def _coherent_block(alphas_flat: np.ndarray, dim: int) -> np.ndarray:
 def _displacement_trace_grid(mat: np.ndarray, betas) -> np.ndarray:
     """Tr[X D(beta)] for every beta, by diagonal three-term recurrences.
 
-    chi(beta) = sum_e  u^e S_e(y) + (-u*)^e T_e(y),  u = beta/|beta|,
-    with S, T weighted sums of rho_m = sqrt(m!/(m+e)!) y^(e/2) e^(-y/2)
+    chi(beta) = sum_e  u^e S_e(y) + (-u*)^e L_e(y),  u = beta/|beta|,
+    with S, L weighted sums of rho_m = sqrt(m!/(m+e)!) y^(e/2) e^(-y/2)
     L_m^(e)(y); every rho_m is a displacement matrix element, so the
-    recurrence never leaves [-1, 1] and cannot overflow.
+    recurrence never leaves [-1, 1] and cannot overflow.  S and L depend on
+    y = |beta|^2 alone, so they are computed once per distinct y; the phases
+    are folded in by Horner's rule, from the highest live offset e down.
     """
     betas = np.asarray(betas, dtype=np.complex128)
     shape = betas.shape
     b = betas.ravel()
-    y = np.abs(b) ** 2
+    y_grid = np.abs(b) ** 2
+    y, inv = np.unique(y_grid, return_inverse=True)
     dim = mat.shape[0]
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    live = 1e-18 * max(scale, 1e-300)
-    chi = np.zeros(b.size, dtype=np.complex128)
-    unit = np.where(y > 0.0, b / np.where(y > 0.0, np.sqrt(y), 1.0), 1.0)
-    half = np.exp(-0.5 * y)
-    with np.errstate(divide="ignore"):
-        log_y = np.where(y > 0.0, np.log(np.where(y > 0.0, y, 1.0)), -np.inf)
-    for e in range(dim):
+    mag = np.abs(mat)
+    live = 1e-18 * max(float(mag.max()) if mat.size else 0.0, 1e-300)
+    alive = {e for e in range(dim)
+             if max(mag.diagonal(e).max(), mag.diagonal(-e).max()) > live}
+    unit = np.where(y_grid > 0.0, b / np.where(y_grid > 0.0, np.sqrt(y_grid), 1.0), 1.0)
+    unit_conj = unit.conj()
+    log_y = np.log(y, out=np.full_like(y, -np.inf), where=y > 0.0)
+    chi_u, chi_l = np.zeros((2, b.size), dtype=np.complex128)
+    for e in range(max(alive, default=-1), -1, -1):
+        chi_u *= unit
+        chi_l *= unit_conj
+        if e not in alive:
+            continue
         upper = np.diagonal(mat, offset=e)
         lower = np.diagonal(mat, offset=-e)
-        if max(np.max(np.abs(upper)), np.max(np.abs(lower))) <= live:
-            continue
-        if e == 0:
-            rho_prev = np.zeros_like(y)
-            rho = half.copy()
-        else:
-            rho_prev = np.zeros_like(y)
-            expo = 0.5 * (e * log_y - y) - 0.5 * gammaln(e + 1)
-            rho = np.exp(expo)
-            rho[y == 0.0] = 0.0
-        acc_u = np.zeros(b.size, dtype=np.complex128)
-        acc_l = np.zeros(b.size, dtype=np.complex128)
+        rho_prev = np.zeros_like(y)
+        if e == 0:  # 0 * log 0 is NaN, so the e = 0 seed is exp(-y/2) itself
+            rho = np.exp(-0.5 * y)
+        else:  # log_y = -inf makes rho = 0 at y = 0
+            rho = np.exp(0.5 * (e * log_y - y) - 0.5 * gammaln(e + 1))
+        acc_u, acc_l = np.zeros((2, y.size), dtype=np.complex128)
         for m in range(dim - e):
             cu = upper[m]
             cl = lower[m]
@@ -309,11 +317,10 @@ def _displacement_trace_grid(mat: np.ndarray, betas) -> np.ndarray:
                 coef_a = (2 * m + e + 1 - y) / math.sqrt((m + 1) * (m + e + 1))
                 coef_b = math.sqrt(m * (m + e) / ((m + 1) * (m + e + 1)))
                 rho, rho_prev = coef_a * rho - coef_b * rho_prev, rho
-        phase = unit**e
-        chi += phase * acc_u
+        chi_u += acc_u[inv]
         if e > 0:
-            chi += ((-1) ** e) * phase.conj() * acc_l
-    return chi.reshape(shape)
+            chi_l += ((-1) ** e * acc_l)[inv]
+    return (chi_u + chi_l).reshape(shape)
 
 
 def _trim_matrix(mat: np.ndarray) -> np.ndarray:
@@ -334,7 +341,7 @@ def sample(x, kind: str, grid: PhaseGrid, grid_tolerance: float = GRID_TOLERANCE
     """
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-    mat, _ = _matrix_and_hint(x)
+    mat = _operator_matrix(x)
     is_density = isinstance(x, DensityOperator)
     label = getattr(x, "label", "")
     alphas = grid.alphas()
@@ -454,13 +461,14 @@ def distribution_from_json(text: str) -> QuasiDistribution:
     try:
         gspec = payload["grid"]
         grid = PhaseGrid(
-            center=complex(gspec["center_re"], gspec["center_im"]),
-            half_extent=gspec["half_extent"],
-            spacing=gspec["spacing"],
+            center=complex(_json_number(gspec["center_re"]),
+                           _json_number(gspec["center_im"])),
+            half_extent=_json_number(gspec["half_extent"]),
+            spacing=_json_number(gspec["spacing"]),
         )
         return QuasiDistribution(
             grid=grid, kind=payload["kind"],
-            values=np.asarray(payload["values"], dtype=np.float64),
+            values=np.asarray(_json_number(payload["values"]), dtype=np.float64),
             source_label=str(payload.get("source_label", "")),
         )
     except KeyError as exc:

@@ -190,6 +190,8 @@ class TestVerifyConfig:
         {"tolerances": {"photon_number_laws": 0.0}},
         {"only": ("no_such_check",)},
         {"only": ()},
+        {"grid_extent": math.inf}, {"grid_extent": math.nan},
+        {"grid_step": math.inf}, {"grid_step": math.nan},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):

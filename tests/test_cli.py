@@ -181,6 +181,14 @@ class TestDistCommand:
         assert "singular" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("extent", ["inf", "nan"])
+    def test_non_finite_grid_extent_exits_one(self, tmp_path, capsys, extent):
+        state, out = tmp_path / "v.json", tmp_path / "w.csv"
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("dist", "W", state, "--grid-extent", extent, "--out", out) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_of_thermal_has_closed_form(self, tmp_path):
         state, out = tmp_path / "t.json", tmp_path / "p.csv"
         assert run("state", "thermal:1.0", "--dim", 40, "--out", state) == 0
@@ -216,6 +224,15 @@ class TestVerifyCommand:
         code = run("verify", "--tol", "oops", "--out", tmp_path)
         assert code == 1
         assert "name=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid-extent", "inf"), ("--grid-extent", "nan"),
+        ("--grid-step", "inf"), ("--grid-step", "nan"),
+    ])
+    def test_non_finite_grid_exits_one(self, tmp_path, capsys, flag, value):
+        assert run("verify", flag, value, "--out", tmp_path) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
 
     def test_unknown_check_name_exits_one(self, tmp_path, capsys):
         code = run("verify", "--only", "no_such_check", "--out", tmp_path)

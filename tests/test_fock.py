@@ -311,3 +311,14 @@ class TestSerialization:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
             fock.operator_from_json('{"dim": 2, "re": [[1.0]], "im": [[0.0]]}')
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": true, "re": [[1.0]], "im": [[0.0]]}',
+        '{"dim": 1, "re": [[true]], "im": [[0.0]]}',
+        '{"dim": 1, "re": [[1.0]], "im": [[false]]}',
+        '{"dim": 2, "re": [[1.0, 0.0], [0.0, true]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+        '{"dim": true, "re": [[true]], "im": [[false]]}',
+    ])
+    def test_json_boolean_is_not_a_number(self, text):
+        with pytest.raises(ValidationError):
+            fock.operator_from_json(text)

@@ -56,6 +56,9 @@ class TestPhaseGrid:
     @pytest.mark.parametrize("kwargs", [
         {"spacing": 0.0}, {"spacing": -1.0},
         {"half_extent": 0.01, "spacing": 0.05},
+        {"half_extent": math.inf}, {"half_extent": math.nan},
+        {"spacing": math.inf}, {"spacing": math.nan},
+        {"center": complex(math.inf, 0.0)}, {"center": complex(0.0, math.nan)},
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValidationError):
@@ -141,6 +144,48 @@ class TestRecognizeGaussianP:
     ])
     def test_non_thermal_not_recognized(self, state):
         assert ps.recognize_gaussian_p(state) is None
+
+
+def _displacement_trace_oracle(mat, betas):
+    """Tr[X D(beta)] point by point from the padded displacement matrices."""
+    dim = mat.shape[0]
+    return np.array([np.sum(mat * fock.displacement_matrix(b, dim).matrix.T)
+                     for b in betas.ravel()]).reshape(betas.shape)
+
+
+def _offsets_only(mat, offsets):
+    keep = np.zeros(mat.shape, dtype=bool)
+    for e in offsets:
+        keep |= np.eye(mat.shape[0], k=e, dtype=bool)
+    return np.where(keep, mat, 0.0)
+
+
+_RNG = np.random.default_rng(11)
+# non-Hermitian, so the upper and lower diagonal sums differ
+NON_HERMITIAN = _RNG.normal(size=(20, 20)) + 1j * _RNG.normal(size=(20, 20))
+CENTRED = ps.PhaseGrid(half_extent=1.5, spacing=0.25)
+
+
+class TestDisplacementTraceGrid:
+    @pytest.mark.parametrize("mat,grid", [
+        # off-centre: almost every |beta|^2 is distinct
+        (NON_HERMITIAN, ps.PhaseGrid(center=0.37 - 0.21j, half_extent=1.3, spacing=0.13)),
+        # centred: includes beta = 0 and many repeated radii
+        (NON_HERMITIAN, CENTRED),
+        # live offsets 0 and +-15 only, dead offsets in between
+        (_offsets_only(NON_HERMITIAN, (0, 15, -15)), CENTRED),
+    ], ids=["off_centre", "centred", "dead_offsets"])
+    def test_matches_per_point_displacement_oracle(self, mat, grid):
+        betas = grid.alphas()
+        got = ps._displacement_trace_grid(mat, betas)
+        assert np.max(np.abs(got - _displacement_trace_oracle(mat, betas))) < 1e-10
+
+    def test_coherent_wigner_grid_matches_point_route(self):
+        state, _ = fock.coherent_state(1.2 - 0.7j, 64)
+        dist = ps.sample(state, "W", DESK)
+        al = DESK.alphas()
+        for idx in [(100, 100), (124, 86), (73, 12), (40, 150), (140, 95), (160, 60)]:
+            assert dist.values[idx] == pytest.approx(ps.w_at(state, al[idx]), abs=1e-8)
 
 
 class TestSample:
@@ -285,6 +330,13 @@ class TestIntegralsAndNegativity:
         assert rep.negative_volume <= 1e-8
 
 
+def _unit_grid_payload(values=None, **grid):
+    """A valid 3 x 3 W distribution payload, with fields overridden."""
+    geometry = {"center_re": 0.0, "center_im": 0.0, "half_extent": 1.0, "spacing": 1.0}
+    return {"grid": {**geometry, **grid}, "kind": "W",
+            "values": values if values is not None else np.zeros((3, 3)).tolist()}
+
+
 class TestSerialization:
     def test_json_roundtrip_bit_exact(self):
         dist = ps.sample(fock.fock_state(1, 16), "W",
@@ -321,7 +373,17 @@ class TestSerialization:
         {"grid": {"center_re": 0.0, "center_im": 0.0, "half_extent": 1.0,
                   "spacing": 1.0}, "kind": "W",
          "values": [[0.0, 0.0, 0.0], [0.0], [0.0, 0.0, 0.0]]},
+        # JSON booleans are not numbers, though bool is an int subclass
+        _unit_grid_payload(center_re=True),
+        _unit_grid_payload(center_im=False),
+        _unit_grid_payload(half_extent=True),
+        _unit_grid_payload(spacing=True),
+        _unit_grid_payload(values=[[0.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 0.0]]),
     ])
     def test_json_wrong_field_type(self, payload):
         with pytest.raises(ValidationError, match="not a distribution"):
             ps.distribution_from_json(json.dumps(payload))
+
+    def test_unit_grid_payload_parses(self):
+        dist = ps.distribution_from_json(json.dumps(_unit_grid_payload()))
+        assert dist.grid == ps.PhaseGrid(half_extent=1.0, spacing=1.0)
