@@ -10,8 +10,9 @@ Each channel has two independent realizations that the test suite plays
 against each other:
 
 * a closed-form number-basis shell kernel (`amplifier_apply`,
-  `attenuator_apply`), organized so every weight is the square root of a
-  probability and cannot overflow;
+  `attenuator_apply`): each Kraus operator is a weighted shift, and one
+  shell table per atom (`_kraus_shells`) holds the weights, each the
+  square root of a probability so none can overflow;
 * a physical dilation (`amplifier_dilated`, `attenuator_dilated`): a
   two-mode squeezer/beamsplitter acting on a vacuum ancilla, realized by a
   sparse generator and Krylov exponential action, with the ancilla traced
@@ -24,10 +25,10 @@ exempt, their truncated trace legitimately moves).
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
-one small real transfer block per offset e (`superoperator_of`), and the
-regularized inverse (`inverse_apply`) filters each diagonal through its
-block's SVD.  The blocks and their SVDs are cached per (spec, dim): O(dim^3)
-reals, shared by every epsilon.
+one small real transfer block per offset e (`superoperator_of`), gathered
+from the same shell table, and the regularized inverse (`inverse_apply`)
+filters each diagonal through its block's SVD.  The blocks and their SVDs
+are cached per (spec, dim): O(dim^3) reals, shared by every epsilon.
 """
 
 from __future__ import annotations
@@ -233,8 +234,13 @@ def _looks_psd(mat: np.ndarray) -> bool:
     return floor >= -1e-6 * scale
 
 
-def _shell_vector(j: int, length: int, log_kappa: float, log_ratio: float) -> np.ndarray:
-    """g_j(m) = sqrt(binom(j+m, j) kappa^-m ratio^j); g^2 is a probability."""
+def _shell_table(shells: int, length: int, log_kappa: float,
+                 log_ratio: float) -> np.ndarray:
+    """g_j(m) = sqrt(binom(j+m, j) kappa^-m ratio^j) for j < shells, m < length.
+
+    Each g^2 is a probability, so no weight can overflow.
+    """
+    j = np.arange(shells, dtype=np.float64)[:, None]
     m = np.arange(length, dtype=np.float64)
     log_binom = gammaln(j + m + 1.0) - gammaln(m + 1.0) - gammaln(j + 1.0)
     return np.exp(0.5 * (log_binom - m * log_kappa + j * log_ratio))
@@ -277,6 +283,46 @@ def _amplifier_default_dim(kappa: float, mat: np.ndarray,
     return _amplifier_grown_dim(kappa, live, target)
 
 
+def _kraus_shells(atom, dim_in: int, dim_out: int) -> list:
+    """The atom's Kraus operators as weighted shifts (row, col, w).
+
+    Each shell is K = sum_i w[i] |row+i><col+i|, cropped to dim_in input
+    and dim_out output levels: attenuator shell j moves level j+i down to
+    i, amplifier shell j moves level i up to j+i.  The shells come in
+    order of j and each has its own shift, so no two share an entry.
+    """
+    if atom in (Amplifier(1.0), Attenuator(1.0)):
+        return [(0, 0, np.ones(min(dim_in, dim_out)))]
+    if atom == Attenuator(0.0):
+        return [(0, j, np.ones(1)) for j in range(dim_in)]
+    if isinstance(atom, Attenuator):
+        lam = atom.transmissivity
+        g = _shell_table(dim_in, min(dim_in, dim_out), -math.log(lam), math.log(1.0 - lam))
+        return [(0, j, g[j, :min(dim_in - j, dim_out)]) for j in range(dim_in)]
+    kappa = atom.kappa
+    g = _shell_table(dim_out, dim_in, math.log(kappa), math.log((kappa - 1.0) / kappa))
+    g /= math.sqrt(kappa)
+    return [(j, 0, g[j, :min(dim_in, dim_out - j)]) for j in range(dim_out)]
+
+
+def _shell_sum(shells, mat: np.ndarray, dim_out: int,
+               tail_from: float = math.inf) -> np.ndarray:
+    """sum_K K mat K^dag over weighted-shift shells.
+
+    Past shell `tail_from`, the first shell whose contribution falls below
+    1e-16 of the input scale ends the sum.
+    """
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    out = np.zeros((dim_out, dim_out), dtype=np.complex128)
+    for j, (row, col, w) in enumerate(shells):
+        n = w.size
+        block = np.outer(w, w) * mat[col:col + n, col:col + n]
+        out[row:row + n, row:row + n] += block
+        if j > tail_from and float(np.max(np.abs(block))) < 1e-16 * scale:
+            break
+    return out
+
+
 def amplifier_apply(kappa: float, x, dim_out: int | None = None,
                     trace_tolerance: float = 1e-8) -> TruncatedOperator:
     """Closed-form amplifier action, shell by shell.
@@ -296,26 +342,10 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
         dim_out = _amplifier_default_dim(kappa, mat)
     if dim_out < 1:
         raise ValidationError(f"dim_out must be positive, got {dim_out}")
-    if kappa == 1.0:
-        out = np.zeros((dim_out, dim_out), dtype=np.complex128)
-        k = min(dim_in, dim_out)
-        out[:k, :k] = mat[:k, :k]
-        return TruncatedOperator(out, label=f"amplifier(1.0)[{op.label}]",
-                                 hermitian_hint=op.hermitian_hint)
-    log_kappa = math.log(kappa)
-    log_ratio = math.log((kappa - 1.0) / kappa)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    j_tail = (kappa - 1.0) * (dim_in + 1.0)  # past the shell-weight mode
-    out = np.zeros((dim_out, dim_out), dtype=np.complex128)
-    for j in range(dim_out):
-        length = min(dim_in, dim_out - j)
-        if length <= 0:
-            break
-        g = _shell_vector(j, length, log_kappa, log_ratio)
-        shell = (np.outer(g, g) / kappa) * mat[:length, :length]
-        out[j:j + length, j:j + length] += shell
-        if j > j_tail and float(np.max(np.abs(shell))) < 1e-16 * scale:
-            break
+    # Shell weights peak near j = (kappa-1)(m+1); only the tail past that
+    # mode may end the sum early.
+    out = _shell_sum(_kraus_shells(spec, dim_in, dim_out), mat, dim_out,
+                     tail_from=(kappa - 1.0) * (dim_in + 1.0))
     result = TruncatedOperator(out, label=f"amplifier({kappa})[{op.label}]",
                                hermitian_hint=op.hermitian_hint)
     _check_trace_leak(mat, out, trace_tolerance, dim_out, f"amplifier({kappa})")
@@ -341,24 +371,12 @@ def attenuator_apply(lam: float, x) -> TruncatedOperator:
     completeness holds to machine precision at every represented level.
     """
     spec = Attenuator(lam)
-    lam = spec.transmissivity
     op = _as_operator(x)
     mat = op.matrix
     dim = mat.shape[0]
-    label = f"attenuator({lam})[{op.label}]"
-    if lam == 1.0:
-        return TruncatedOperator(mat.copy(), label=label, hermitian_hint=op.hermitian_hint)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    if lam == 0.0:
-        out[0, 0] = np.trace(mat)
-        return TruncatedOperator(out, label=label, hermitian_hint=op.hermitian_hint)
-    log_lam = math.log(lam)
-    log_rest = math.log(1.0 - lam)
-    for j in range(dim):
-        length = dim - j
-        g = _shell_vector(j, length, -log_lam, log_rest)
-        out[:length, :length] += np.outer(g, g) * mat[j:, j:]
-    return TruncatedOperator(out, label=label, hermitian_hint=op.hermitian_hint)
+    out = _shell_sum(_kraus_shells(spec, dim, dim), mat, dim)
+    return TruncatedOperator(out, label=f"attenuator({spec.transmissivity})[{op.label}]",
+                             hermitian_hint=op.hermitian_hint)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,21 +428,11 @@ def attenuator_kraus(lam: float, dim: int) -> KrausSet:
 
 def _amplifier_kraus(kappa: float, dim_in: int, dim_out: int) -> list[np.ndarray]:
     """Rectangular amplifier Kraus stack; shells beyond dim_out are cropped."""
-    if kappa == 1.0:
-        m = np.zeros((dim_out, dim_in), dtype=np.complex128)
-        k = min(dim_in, dim_out)
-        m[np.arange(k), np.arange(k)] = 1.0
-        return [m]
-    log_kappa = math.log(kappa)
-    log_ratio = math.log((kappa - 1.0) / kappa)
     mats = []
-    for j in range(dim_out):
-        length = min(dim_in, dim_out - j)
-        if length <= 0:
-            break
-        g = _shell_vector(j, length, log_kappa, log_ratio) / math.sqrt(kappa)
+    for row, col, w in _kraus_shells(Amplifier(kappa), dim_in, dim_out):
         m = np.zeros((dim_out, dim_in), dtype=np.complex128)
-        m[np.arange(j, j + length), np.arange(length)] = g
+        i = np.arange(w.size)
+        m[row + i, col + i] = w
         mats.append(m)
     return mats
 
@@ -546,8 +554,7 @@ def apply(spec: ChannelSpec, x, trim_tolerance: float = 1e-16) -> TruncatedOpera
     raise ValidationError(f"not a channel spec: {spec!r}")
 
 
-def coherent_projection(x, route: str = "compose",
-                        grid: PhaseGrid | None = None) -> TruncatedOperator:
+def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
     """Double smoothing of X, which projects onto coherent states.
 
     Three routes realize the same map and certify each other:
@@ -555,7 +562,7 @@ def coherent_projection(x, route: str = "compose",
     * "reversed": attenuate by 1/2 first, then amplify by 2 (the same map
       in the opposite factor order);
     * "projection": the literal quadrature sum of Q_X(alpha) |alpha><alpha|
-      over a grid, auto-sized to X's support when none is given.
+      over a square grid sized to X's support.
     """
     op = _as_operator(x)
     if route == "compose":
@@ -567,10 +574,8 @@ def coherent_projection(x, route: str = "compose",
     if route == "projection":
         mat = op.matrix
         dim = mat.shape[0]
-        if grid is None:
-            live = trim_dim(mat, 1e-12 * max(1.0, float(np.max(np.abs(mat)))))
-            extent = math.sqrt(live) + 4.5
-            grid = PhaseGrid(half_extent=extent, spacing=0.1)
+        live = trim_dim(mat, 1e-12 * max(1.0, float(np.max(np.abs(mat)))))
+        grid = PhaseGrid(half_extent=math.sqrt(live) + 4.5, spacing=0.1)
         flat = grid.alphas().ravel()
         block = _coherent_block(flat, dim)
         q = np.einsum("pn,pn->p", block.conj() @ mat, block)
@@ -637,57 +642,6 @@ def _atoms_in_application_order(spec: ChannelSpec) -> list:
         "a regularized inverse has no exact superoperator; use inverse_apply")
 
 
-def _binomial_block(upper: np.ndarray, lower: np.ndarray, offset: int,
-                    log_weight: np.ndarray) -> np.ndarray:
-    """sqrt(binom(u, l) binom(u+offset, l+offset)) exp(log_weight) for u >= l.
-
-    `upper` and `lower` broadcast to the (row, col) grid; entries with
-    u < l are zero.  Log-factorials come from one table, sized for both
-    grids: a cropped `upper` can stop below the largest `lower`.
-    """
-    top = max(upper.max(), lower.max()) + offset
-    log_fact = gammaln(np.arange(1.0, top + 2.0))
-    shift = np.maximum(upper - lower, 0)
-    log_binom = (log_fact[upper] + log_fact[upper + offset] - log_fact[lower]
-                 - log_fact[lower + offset] - 2.0 * log_fact[shift])
-    return np.exp(np.where(upper >= lower, 0.5 * log_binom + log_weight, -np.inf))
-
-
-def _diagonal_transfer(atom, offset: int, cur_dim: int,
-                       rows: int | None) -> tuple[np.ndarray, int]:
-    """Transfer matrix of one atom on diagonal `offset` of a cur_dim operator.
-
-    Shell j of either atom links level n to level n - j (attenuator) or
-    n + j (amplifier) with the shell-kernel weights; on a diagonal the
-    weights of the entry's row and column multiply.  Only the first `rows`
-    output levels are built (all for None).  Returns the block and the
-    atom's output dim.
-    """
-    width = cur_dim - offset
-    if isinstance(atom, Attenuator):
-        lam = atom.transmissivity
-        if lam == 1.0:
-            return np.eye(width)[:rows], cur_dim
-        if lam == 0.0:
-            t = np.zeros((width, width))
-            if offset == 0:
-                t[0, :] = 1.0
-            return t[:rows], cur_dim
-        p, n = np.arange(width)[:rows, None], np.arange(width)  # p from n
-        log_weight = (p + 0.5 * offset) * math.log(lam) + (n - p) * math.log(1.0 - lam)
-        return _binomial_block(n, p, offset, log_weight), cur_dim
-    if isinstance(atom, Amplifier):
-        kappa = atom.kappa
-        if kappa == 1.0:
-            return np.eye(width)[:rows], cur_dim
-        out_dim = _amplifier_grown_dim(kappa, cur_dim)
-        p, n = np.arange(out_dim - offset)[:rows, None], np.arange(width)
-        log_weight = ((p - n) * math.log((kappa - 1.0) / kappa)
-                      - (n + 0.5 * offset + 1.0) * math.log(kappa))
-        return _binomial_block(p, n, offset, log_weight), out_dim
-    raise ValidationError(f"not a channel atom: {atom!r}")
-
-
 @lru_cache(maxsize=16)
 def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
     """Per-offset blocks of the grown-then-cropped pipeline and their SVDs.
@@ -696,20 +650,38 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
     last stage; a product of square-cropped factor blocks would crop
     between the stages instead, discarding mass the later stages fold back
     below dim and spoiling the small singular values the inverse needs.
+    On diagonal e, shell entry i moves <col+i|X|col+i+e> to
+    <row+i|Y|row+i+e> with weight w[i] w[i+e]; in the stage's flat weight
+    table the partner of entry k is entry k+e.
     Returns (blocks, svds) with svds[e] = (U, s, V^T) of blocks[e].
     """
     atoms = _atoms_in_application_order(spec)
-    blocks, svds = [], []
-    for offset in range(dim):
-        block, cur_dim = np.eye(dim - offset), dim
-        for k, atom in enumerate(atoms, start=1):
-            rows = dim - offset if k == len(atoms) else None
-            step, cur_dim = _diagonal_transfer(atom, offset, cur_dim, rows)
-            block = step @ block
+    blocks = [np.eye(dim - offset) for offset in range(dim)]
+    cur_dim = dim
+    for k, atom in enumerate(atoms, start=1):
+        if k == len(atoms):
+            out_dim = dim
+        elif isinstance(atom, Amplifier):
+            out_dim = _amplifier_grown_dim(atom.kappa, cur_dim)
+        else:
+            out_dim = cur_dim
+        shells = _kraus_shells(atom, cur_dim, out_dim)
+        sizes = np.array([w.size for *_, w in shells])
+        # i: each flat entry's index inside its shell
+        i = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = np.repeat([row for row, _, _ in shells], sizes) + i
+        cols = np.repeat([col for _, col, _ in shells], sizes) + i
+        rest = np.repeat(sizes, sizes) - i
+        weights = np.concatenate([w for *_, w in shells])
+        for offset in range(dim):
+            paired = np.nonzero(rest > offset)[0]  # partner inside the shell
+            step = np.zeros((out_dim - offset, cur_dim - offset))
+            step[rows[paired], cols[paired]] = weights[paired] * weights[paired + offset]
+            blocks[offset] = step @ blocks[offset]
+        cur_dim = out_dim
+    for block in blocks:
         block.setflags(write=False)  # shared by every caller of the cache
-        blocks.append(block)
-        svds.append(np.linalg.svd(block))
-    return tuple(blocks), tuple(svds)
+    return tuple(blocks), tuple(np.linalg.svd(block) for block in blocks)
 
 
 def superoperator_of(spec: ChannelSpec, dim: int) -> Superoperator:

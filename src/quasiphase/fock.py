@@ -511,7 +511,7 @@ def operator_from_json(text: str) -> TruncatedOperator:
         if key not in payload:
             raise ValidationError(f"operator JSON missing key {key!r}")
     dim = payload["dim"]
-    if isinstance(dim, bool):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValidationError(f"operator JSON dim must be an integer, got {dim!r}")
     try:
         re = np.asarray(_json_number(payload["re"]), dtype=np.float64)

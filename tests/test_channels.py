@@ -187,6 +187,13 @@ class TestAmplifierKernel:
         assert info.value.deficit == pytest.approx(0.5**24, rel=1e-6)
         assert info.value.dim_out == 24
 
+    def test_gain_one_crop_is_a_trace_leak(self):
+        # Unit gain goes through the same leak check as every other gain:
+        # thermal(1) holds 0.5^5 of its trace above level 5.
+        with pytest.raises(TraceLeakError) as info:
+            amplifier_apply(1.0, thermal_state(1.0, 40), dim_out=5)
+        assert info.value.deficit == pytest.approx(0.5**5, rel=1e-6)
+
     def test_non_density_inputs_exempt_from_leak_check(self):
         out = amplifier_apply(2.0, bare_parity(16), dim_out=16)
         assert out.dim == 16
@@ -475,6 +482,24 @@ class TestSuperoperator:
         s = superoperator_of(Amplifier(2.0), 16)
         direct = amplifier_apply(2.0, rho, dim_out=16, trace_tolerance=None)
         assert_allclose(s.apply_matrix(rho.matrix), direct.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 12])
+    @pytest.mark.parametrize("spec", [Attenuator(0.0), Attenuator(1.0),
+                                      Amplifier(1.0), Amplifier(2.0)])
+    def test_special_atoms_match_kernels(self, spec, d):
+        # The exact special cases, and the amplifier cropped to the input
+        # dim, on a state and on a non-Hermitian input.
+        rng = np.random.default_rng(41)
+        inputs = [random_density(d, rank=1, rng=rng).matrix,
+                  rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))]
+        s = superoperator_of(spec, d)
+        for x in inputs:
+            if isinstance(spec, Amplifier):
+                direct = amplifier_apply(spec.kappa, TruncatedOperator(x), dim_out=d,
+                                         trace_tolerance=None)
+            else:
+                direct = attenuator_apply(spec.transmissivity, TruncatedOperator(x))
+            assert_allclose(s.apply_matrix(x), direct.matrix, atol=1e-12)
 
     def test_compose_matches_sequential_kernels(self):
         rho = random_density(40, rank=3, support=10, rng=21)

@@ -322,3 +322,10 @@ class TestSerialization:
     def test_json_boolean_is_not_a_number(self, text):
         with pytest.raises(ValidationError):
             fock.operator_from_json(text)
+
+    @pytest.mark.parametrize("dim", ["1.0", "[1]", '"1"'])
+    def test_json_dim_must_be_an_integer(self, dim):
+        # 1.0 and [1] would otherwise pass or fail only through the shape
+        # comparison, since (1, 1) == (1.0, 1.0).
+        with pytest.raises(ValidationError, match="dim must be an integer"):
+            fock.operator_from_json(f'{{"dim": {dim}, "re": [[1.0]], "im": [[0.0]]}}')
