@@ -42,7 +42,7 @@ from typing import Union
 import numpy as np
 from scipy.sparse import csr_matrix, diags, kron
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_laguerre
 
 from .errors import (
     AncillaTailError,
@@ -52,12 +52,13 @@ from .errors import (
 )
 from .fock import (
     TruncatedOperator,
+    _check_dense_budget,
     _json_number,
     hermiticity_defect,
     trace_distance,
     trim_dim,
 )
-from .phasespace import PhaseGrid, _coherent_block
+from .phasespace import _coherent_block
 
 __all__ = [
     "Amplifier",
@@ -342,6 +343,8 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
         dim_out = _amplifier_default_dim(kappa, mat)
     if dim_out < 1:
         raise ValidationError(f"dim_out must be positive, got {dim_out}")
+    _check_dense_budget(16 * dim_out * dim_out,
+                        f"amplifier({kappa}) output of {dim_out} levels")
     # Shell weights peak near j = (kappa-1)(m+1); only the tail past that
     # mode may end the sum early.
     out = _shell_sum(_kraus_shells(spec, dim_in, dim_out), mat, dim_out,
@@ -561,8 +564,9 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
     * "compose": the smoothing channel applied twice;
     * "reversed": attenuate by 1/2 first, then amplify by 2 (the same map
       in the opposite factor order);
-    * "projection": the literal quadrature sum of Q_X(alpha) |alpha><alpha|
-      over a square grid sized to X's support.
+    * "projection": the literal sum of Q_X(alpha) |alpha><alpha| over the
+      nodes of a product rule (Gauss-Laguerre in |alpha|^2 times equispaced
+      angles) that integrates it exactly on the truncated supports.
     """
     op = _as_operator(x)
     if route == "compose":
@@ -573,17 +577,32 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
             f"double_smooth_reversed[{op.label}]")
     if route == "projection":
         mat = op.matrix
-        dim = mat.shape[0]
-        live = trim_dim(mat, 1e-12 * max(1.0, float(np.max(np.abs(mat)))))
-        grid = PhaseGrid(half_extent=math.sqrt(live) + 4.5, spacing=0.1)
-        flat = grid.alphas().ravel()
-        block = _coherent_block(flat, dim)
-        q = np.einsum("pn,pn->p", block.conj() @ mat, block)
-        weights = q * (grid.spacing**2 / math.pi)
+        live = trim_dim(mat, 1e-16 * max(1.0, float(np.max(np.abs(mat)))))
+        work = mat[:live, :live]
         # The image has an amplified tail; reconstruct on the grown dim.
         dim_out = _amplifier_default_dim(2.0, mat)
-        block_out = block if dim_out == dim else _coherent_block(flat, dim_out)
-        out = (block_out.T * weights) @ block_out.conj()
+        # With t = |alpha|^2 every entry's integrand is e^(-2t) times a
+        # polynomial of degree <= live + dim_out - 2: Gauss-Laguerre in u = 2t
+        # integrates it exactly.  Q's phase harmonics stay within live - 1,
+        # so 2 live - 1 equispaced angles resolve them without aliasing.
+        u, w = roots_laguerre((live + dim_out - 2) // 2 + 1)
+        u, w = u[w > 0.0], w[w > 0.0]  # the outermost weights underflow
+        t = 0.5 * u
+        angles = 2.0 * math.pi * np.arange(2 * live - 1) / (2 * live - 1)
+        rings = np.sqrt(t)[:, None] * np.exp(1j * angles)
+        block = _coherent_block(rings.ravel(), live)
+        q = np.einsum("pn,pn->p", block.conj() @ work, block).reshape(rings.shape)
+        harmonics = np.fft.fft(q, axis=1) / angles.size  # column e mod M holds e
+        # g[k, p] = sqrt(w_k e^t_k / 2) t_k^(p/2) / sqrt(p!): its factors
+        # overflow, but g^2 <= w_k e^u_k / 2 stays small, so build it in logs.
+        p = np.arange(dim_out)
+        g = np.exp(0.5 * (np.log(w) + t - math.log(2.0))[:, None]
+                   + 0.5 * (np.log(t)[:, None] * p - gammaln(p + 1.0)))
+        out = np.zeros((dim_out, dim_out), dtype=np.complex128)
+        for e in range(min(live, dim_out)):  # offsets e and -e share g g
+            rows, cols = _offset_entries(dim_out, e)
+            out[rows, cols], out[cols, rows] = (
+                harmonics[:, [e, -e]].T @ (g[:, :dim_out - e] * g[:, e:]))
         return TruncatedOperator(out, label=f"double_smooth_projection[{op.label}]")
     raise ValidationError(
         f"route must be 'compose', 'reversed' or 'projection', got {route!r}")

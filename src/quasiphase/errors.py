@@ -2,7 +2,8 @@
 
 Every error carries enough context to act on: truncation errors report the
 tail mass and a dimension that would satisfy the tolerance, grid errors
-report the offending boundary value, inverse errors carry the partial result.
+report the offending boundary value, budget errors the bytes a request needs,
+inverse errors carry the partial result.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ class TruncationError(QuasiphaseError):
         super().__init__(message)
         self.tail_mass = tail_mass
         self.required_dim = required_dim
+
+
+class BudgetError(QuasiphaseError):
+    """A dense array sized by the request would exceed the allocation budget."""
+
+    def __init__(self, message: str, required_bytes: int, budget_bytes: int):
+        super().__init__(message)
+        self.required_bytes = required_bytes
+        self.budget_bytes = budget_bytes
 
 
 class SingularPError(QuasiphaseError):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import InvalidDimensionError, TruncationError, ValidationError
+from .errors import BudgetError, InvalidDimensionError, TruncationError, ValidationError
 
 __all__ = [
+    "DENSE_BUDGET_BYTES",
     "HERMITIAN_TOLERANCE",
     "PSD_TOLERANCE",
     "TAIL_TOLERANCE",
@@ -54,6 +55,10 @@ __all__ = [
     "operator_to_json",
     "operator_from_json",
 ]
+
+# The largest dense array whose size a request may set; checked before the
+# array is allocated.
+DENSE_BUDGET_BYTES = 1 << 30
 
 # Default tolerances; every check that uses one accepts an override keyword.
 HERMITIAN_TOLERANCE = 1e-12
@@ -497,6 +502,14 @@ def _json_number(value):
         for item in value:
             _json_number(item)
     return value
+
+
+def _check_dense_budget(nbytes: int, what: str) -> None:
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise BudgetError(
+            f"{what} needs {nbytes:,} bytes, over the dense budget of "
+            f"{DENSE_BUDGET_BYTES:,} bytes",
+            required_bytes=nbytes, budget_bytes=DENSE_BUDGET_BYTES)
 
 
 def operator_from_json(text: str) -> TruncatedOperator:

@@ -37,8 +37,8 @@ from .errors import (
     SingularPError,
     ValidationError,
 )
-from .fock import (DensityOperator, TruncatedOperator, _json_number,
-                   displaced_parity, trim_dim)
+from .fock import (DensityOperator, TruncatedOperator, _check_dense_budget,
+                   _json_number, displaced_parity, trim_dim)
 
 __all__ = [
     "GRID_TOLERANCE",
@@ -87,6 +87,8 @@ class PhaseGrid:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "half_extent", float(self.half_extent))
         object.__setattr__(self, "spacing", float(self.spacing))
+        n = self.points_per_axis
+        _check_dense_budget(16 * n * n, f"phase grid of {n} x {n} points")
 
     @property
     def points_per_axis(self) -> int:

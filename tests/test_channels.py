@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quasiphase import channels
+from quasiphase.analysis import default_battery
 from quasiphase.channels import (
     AdditiveNoise,
     Amplifier,
@@ -38,11 +39,13 @@ from quasiphase.channels import (
 )
 from quasiphase.errors import (
     AncillaTailError,
+    BudgetError,
     IllConditionedInverseError,
     TraceLeakError,
     ValidationError,
 )
 from quasiphase.fock import (
+    DENSE_BUDGET_BYTES,
     TruncatedOperator,
     coherent_state,
     crop,
@@ -193,6 +196,17 @@ class TestAmplifierKernel:
         with pytest.raises(TraceLeakError) as info:
             amplifier_apply(1.0, thermal_state(1.0, 40), dim_out=5)
         assert info.value.deficit == pytest.approx(0.5**5, rel=1e-6)
+
+    def test_output_over_the_dense_budget_raises(self):
+        # A full dim-64 block sizes the 100-fold image at 50 881 levels.
+        rho = random_density(64, rank=2, rng=1)
+        with pytest.raises(BudgetError) as info:
+            amplifier_apply(100.0, rho)
+        assert info.value.required_bytes == 16 * 50881**2
+        assert info.value.budget_bytes == DENSE_BUDGET_BYTES
+        assert f"{16 * 50881**2:,} bytes" in str(info.value)
+        with pytest.raises(BudgetError):
+            apply(Amplifier(100.0), rho)
 
     def test_non_density_inputs_exempt_from_leak_check(self):
         out = amplifier_apply(2.0, bare_parity(16), dim_out=16)
@@ -423,6 +437,48 @@ class TestCoherentProjection:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValidationError):
             coherent_projection(fock_state(0, 4), "spiral")
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 40])
+    def test_projection_matches_compose_on_non_hermitian(self, dim):
+        # The quadrature is exact on the truncated supports, so both routes
+        # agree to rounding wherever both represent the image.
+        rng = np.random.default_rng(dim)
+        x = TruncatedOperator(rng.normal(size=(dim, dim))
+                              + 1j * rng.normal(size=(dim, dim)))
+        proj = coherent_projection(x, "projection")
+        comp = coherent_projection(x, "compose")
+        n = min(proj.dim, comp.dim)
+        assert np.max(np.abs(proj.matrix[:n, :n] - comp.matrix[:n, :n])) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_projection_is_exact_on_every_level(self, n):
+        # <p|C^2(|n><n|)|p> = binom(n+p, p) / 2^(n+p+1); an exact rule meets
+        # it to rounding even on the top levels, where it is ~1e-12.
+        out = coherent_projection(fock_state(n, 8), "projection").matrix
+        p = np.arange(out.shape[0])
+        exact = np.array([math.comb(n + k, k) for k in p]) / 2.0 ** (n + p + 1)
+        assert_allclose(np.diagonal(out), exact, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(out - np.diag(np.diagonal(out)))) <= 1e-15
+
+    @pytest.mark.parametrize("index", range(4, 10))
+    def test_projection_matches_compose_on_battery(self, index):
+        # The Fock members (indices 0-3) differ by the compose route's own
+        # truncation, ~1e-12; every other battery state agrees to rounding.
+        state = default_battery(64)[index]
+        proj = coherent_projection(state, "projection")
+        assert trace_distance(proj, coherent_projection(state, "compose")) <= 1e-13
+
+    def test_projection_never_reads_the_channel_kernels(self, monkeypatch):
+        state = default_battery(64)[7]
+        expected = coherent_projection(state, "compose")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the projection route must stay independent")
+
+        for name in ("_kraus_shells", "_shell_sum", "_transfer_blocks"):
+            monkeypatch.setattr(channels, name, forbidden)
+        out = coherent_projection(state, "projection")
+        assert trace_distance(out, expected) <= 1e-13
 
 
 class TestParityPipeline:

@@ -189,6 +189,14 @@ class TestDistCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_over_the_dense_budget_exits_one(self, tmp_path, capsys):
+        state, out = tmp_path / "v.json", tmp_path / "w.csv"
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("dist", "W", state, "--grid-extent", "1e4", "--grid-step", "1e-3",
+                   "--out", out) == 1
+        assert "dense budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_of_thermal_has_closed_form(self, tmp_path):
         state, out = tmp_path / "t.json", tmp_path / "p.csv"
         assert run("state", "thermal:1.0", "--dim", 40, "--out", state) == 0

@@ -15,7 +15,8 @@ from scipy.special import eval_laguerre
 
 from quasiphase import fock
 from quasiphase import phasespace as ps
-from quasiphase.errors import GridTooSmallError, SingularPError, ValidationError
+from quasiphase.errors import (BudgetError, GridTooSmallError, SingularPError,
+                               ValidationError)
 
 DESK = ps.PhaseGrid(half_extent=5.0, spacing=0.05)
 
@@ -63,6 +64,13 @@ class TestPhaseGrid:
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValidationError):
             ps.PhaseGrid(**kwargs)
+
+    def test_lattice_over_the_dense_budget_raises(self):
+        n = 20_000_001
+        with pytest.raises(BudgetError) as info:
+            ps.PhaseGrid(half_extent=1e4, spacing=1e-3)
+        assert info.value.required_bytes == 16 * n * n
+        assert f"{16 * n * n:,} bytes" in str(info.value)
 
 
 class TestDistributionType:
