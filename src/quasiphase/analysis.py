@@ -153,8 +153,6 @@ def classicality_check(rho, order: int, epsilon: float = DEFAULT_EPSILON,
     regularized inverse cannot fit.
     """
     state = as_density(rho)
-    if not epsilon > 0.0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     pre, residual = _regularized_preimage(state, order, epsilon, work_dim)
     margin = psd_margin(pre)
     certified = margin >= -PSD_MARGIN_TOLERANCE and residual <= RESIDUAL_BOUND
@@ -177,8 +175,6 @@ def nonclassicality_score(rho, order: int, epsilon: float = DEFAULT_EPSILON,
     regularization-independent quantity.
     """
     state = as_density(rho)
-    if not epsilon > 0.0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     pre, _ = _regularized_preimage(state, order, epsilon, work_dim)
     eigs = np.linalg.eigvalsh(0.5 * (pre.matrix + pre.matrix.conj().T))
     return float(-eigs[eigs < 0.0].sum())

@@ -14,14 +14,15 @@ against each other:
   shell table per atom (`_kraus_shells`) holds the weights, each the
   square root of a probability so none can overflow;
 * a physical dilation (`amplifier_dilated`, `attenuator_dilated`): a
-  two-mode squeezer/beamsplitter acting on a vacuum ancilla, realized by a
-  sparse generator and Krylov exponential action, with the ancilla traced
-  out afterwards.
+  two-mode squeezer/beamsplitter acting on a vacuum ancilla, exponentiated
+  on the conserved chain of each input level |m,0>, with the ancilla
+  traced out afterwards.
 
 Trace bookkeeping: amplification grows support, so outputs default to a
 padded dimension; a PSD input that still loses trace beyond tolerance
 raises TraceLeakError (non-trace-class inputs like the parity operator are
-exempt, their truncated trace legitimately moves).
+exempt, their truncated trace legitimately moves).  A dilation raises it
+too when population reaches a chain its system register cuts.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
@@ -40,8 +41,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, kron
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, roots_laguerre
 
 from .errors import (
@@ -54,6 +53,7 @@ from .fock import (
     TruncatedOperator,
     _check_dense_budget,
     _json_number,
+    _tridiagonal_expm_rows,
     hermiticity_defect,
     trace_distance,
     trim_dim,
@@ -248,18 +248,18 @@ def _shell_table(shells: int, length: int, log_kappa: float,
 
 
 @lru_cache(maxsize=256)
-def _amplifier_grown_dim(kappa: float, live: int, target: float = 1e-10) -> int:
-    """Output dim sized so the discarded shell mass stays below `target`.
+def _amplifier_grown_dim(kappa: float, live: int) -> int:
+    """Output dim sized so the discarded shell mass stays below 1e-10.
 
     Shell j acting on occupied level m <= live-1 contributes at most
     binom(j+live-1, live-1) ((kappa-1)/kappa)^j to the output at level j+m,
     so the search walks j until that bound (plus a geometric remainder
-    margin) drops under the target.
+    margin) drops under 1e-10.
     """
     if kappa == 1.0:
         return live
     ratio = (kappa - 1.0) / kappa
-    cutoff = target * (1.0 - ratio) / 4.0
+    cutoff = 1e-10 * (1.0 - ratio) / 4.0
     log_ratio = math.log(ratio)
     lo, depth = 1, None
     while depth is None and lo < 1 << 20:
@@ -276,12 +276,10 @@ def _amplifier_grown_dim(kappa: float, live: int, target: float = 1e-10) -> int:
     return max(int(math.ceil(kappa * live)) + 10, live + depth + 1)
 
 
-def _amplifier_default_dim(kappa: float, mat: np.ndarray,
-                           target: float = 1e-10) -> int:
-    live = trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat))))) if mat.size else 1
+def _amplifier_default_dim(kappa: float, mat: np.ndarray) -> int:
     if kappa == 1.0:
         return mat.shape[0]
-    return _amplifier_grown_dim(kappa, live, target)
+    return _amplifier_grown_dim(kappa, trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat))))))
 
 
 def _kraus_shells(atom, dim_in: int, dim_out: int) -> list:
@@ -349,21 +347,14 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
     # mode may end the sum early.
     out = _shell_sum(_kraus_shells(spec, dim_in, dim_out), mat, dim_out,
                      tail_from=(kappa - 1.0) * (dim_in + 1.0))
-    result = TruncatedOperator(out, label=f"amplifier({kappa})[{op.label}]",
-                               hermitian_hint=op.hermitian_hint)
-    _check_trace_leak(mat, out, trace_tolerance, dim_out, f"amplifier({kappa})")
-    return result
-
-
-def _check_trace_leak(mat_in, mat_out, tolerance, dim_out, what):
-    if tolerance is None or not _looks_psd(mat_in):
-        return
-    deficit = abs(np.trace(mat_out).real - np.trace(mat_in).real)
-    if deficit > tolerance * max(1.0, abs(np.trace(mat_in).real)):
-        raise TraceLeakError(
-            f"{what} lost trace {deficit:.3e} at dim_out={dim_out}; "
-            f"enlarge the output dimension",
-            deficit=float(deficit), dim_out=dim_out)
+    if trace_tolerance is not None and _looks_psd(mat):
+        deficit = abs(np.trace(out).real - np.trace(mat).real)
+        if deficit > trace_tolerance * max(1.0, abs(np.trace(mat).real)):
+            raise TraceLeakError(
+                f"amplifier({kappa}) lost trace {deficit:.3e} at dim_out={dim_out}; "
+                f"enlarge the output dimension", deficit=float(deficit), dim_out=dim_out)
+    return TruncatedOperator(out, label=f"amplifier({kappa})[{op.label}]",
+                             hermitian_hint=op.hermitian_hint)
 
 
 def attenuator_apply(lam: float, x) -> TruncatedOperator:
@@ -440,99 +431,103 @@ def _amplifier_kraus(kappa: float, dim_in: int, dim_out: int) -> list[np.ndarray
     return mats
 
 
-def _sparse_mode_ops(dim: int):
-    a = diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=np.complex128)
-    return a, a.T.tocsr()
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _dilated_action(gen: csr_matrix, mat: np.ndarray, sys_dim: int, anc_dim: int,
-                    tail_tolerance: float, what: str,
-                    trace_tolerance: float | None) -> np.ndarray:
-    """U (X (x) |0><0|) U^dag traced over the ancilla, via Krylov columns."""
-    n_in = mat.shape[0]
-    total = sys_dim * anc_dim
-    basis = np.zeros((total, n_in), dtype=np.complex128)
-    basis[np.arange(n_in) * anc_dim, np.arange(n_in)] = 1.0  # |m>|0>
-    cols = expm_multiply(gen, basis)
-    v = cols.reshape(sys_dim, anc_dim, n_in)
-    t = np.einsum("sam,mn->san", v, mat)
-    out = np.einsum("san,zan->sz", t, v.conj())
-    if tail_tolerance is not None:
-        anc_pop = np.einsum("san,san->a", t, v.conj()).real
-        top = float(abs(anc_pop[-1]))
-        scale = max(1.0, abs(float(np.trace(mat).real)))
-        if top > tail_tolerance * scale:
-            raise AncillaTailError(
-                f"{what}: ancilla top level holds {top:.3e}; enlarge anc_dim",
-                tail_mass=top)
-    if trace_tolerance is not None:
-        _check_trace_leak(mat, out, trace_tolerance, sys_dim, what)
+def _live_block(x) -> tuple[TruncatedOperator, np.ndarray]:
+    op = _as_operator(x)
+    live = trim_dim(op.matrix, 1e-14 * max(1.0, float(np.max(np.abs(op.matrix)))))
+    return op, op.matrix[:live, :live]  # dead levels only waste register space
+
+
+def _dilated_action(coupling, shift: int, mat: np.ndarray, sys_dim: int,
+                    anc_dim: int, tail_tolerance: float, what: str) -> np.ndarray:
+    """U (X (x) |0><0|) U^dag traced over the ancilla, one chain per input level.
+
+    The generator conserves a sector, so U|m,0> stays on the chain whose
+    site k is |n, k>, n = m + shift*k, and coupling(n, k) is its real
+    amplitude from site k to site k+1.  There the generator is
+    diag(i^k) (-iS) diag(i^-k), S real symmetric tridiagonal with those
+    amplitudes, so the column of |m,0> is i^k times the first row of
+    exp(-iS).  The register cuts a chain where the next amplitude is
+    nonzero; the population reaching such a cut must stay below
+    `tail_tolerance` (AncillaTailError at the ancilla's top level,
+    TraceLeakError at the system's).
+    """
+    live = mat.shape[0]
+    if sys_dim < live or anc_dim < 1:
+        raise ValidationError(f"registers of sys_dim {sys_dim} and anc_dim {anc_dim} "
+                              f"cannot hold the live input block {live}")
+    amps = np.zeros((live, anc_dim), dtype=np.complex128)
+    tops = np.zeros(2)  # population at ancilla cuts, at system cuts
+    for m in range(live):
+        k = np.arange(min(anc_dim, sys_dim - m if shift > 0 else m + 1))
+        g = coupling(m + shift * k, k)
+        amps[m, :k.size] = _tridiagonal_expm_rows(g[:-1], 1)[0] * _I_POWERS[k % 4]
+        if g[-1] != 0.0:
+            tops[int(k.size < anc_dim)] += mat[m, m].real * abs(amps[m, k.size - 1]) ** 2
+    out = np.zeros((sys_dim, sys_dim), dtype=np.complex128)
+    for k in range(anc_dim):  # out[m+shift k, n+shift k] += c_m[k] X[m,n] c_n[k]*
+        lo = max(0, -shift * k)
+        hi = max(lo, min(live, sys_dim - shift * k))
+        w = amps[lo:hi, k]
+        out[lo + shift * k:hi + shift * k, lo + shift * k:hi + shift * k] += (
+            np.outer(w, w.conj()) * mat[lo:hi, lo:hi])
+    anc_top, sys_top = np.abs(tops) / max(1.0, abs(float(np.trace(mat).real)))
+    if anc_top > tail_tolerance:
+        raise AncillaTailError(f"{what}: ancilla top level holds {anc_top:.3e}; "
+                               f"enlarge anc_dim", tail_mass=float(anc_top))
+    if sys_top > tail_tolerance:
+        raise TraceLeakError(f"{what}: system top level holds {sys_top:.3e}; enlarge "
+                             f"sys_dim", deficit=float(sys_top), dim_out=sys_dim)
     return out
 
 
 def amplifier_dilated(kappa: float, x, sys_dim: int | None = None,
                       anc_dim: int | None = None,
-                      tail_tolerance: float = 1e-8,
-                      trace_tolerance: float = 1e-6) -> TruncatedOperator:
-    """Two-mode squeezer with vacuum ancilla; the independent amplifier oracle."""
-    spec = Amplifier(kappa)
-    kappa = spec.kappa
-    op = _as_operator(x)
-    mat = op.matrix
-    live = trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat)))))
-    mat = mat[:live, :live]  # dead levels only waste register space
-    if sys_dim is None:
-        sys_dim = int(math.ceil(kappa * live)) + 40
+                      tail_tolerance: float = 1e-8) -> TruncatedOperator:
+    """Two-mode squeezer with vacuum ancilla; the independent amplifier oracle.
+
+    exp(r (a_s^dag a_a^dag - a_s a_a)) conserves n_s - n_a, so |m,0> stays on
+    |m+k, k> with amplitudes r sqrt((m+k+1)(k+1)), and the register cuts
+    every chain.  The default sys_dim, live + anc_dim, leaves every cut to
+    the ancilla.
+    """
+    kappa = Amplifier(kappa).kappa
+    op, mat = _live_block(x)
     if anc_dim is None:
-        anc_dim = int(math.ceil((kappa - 1.0) * live)) + 40
-    if sys_dim < live:
-        raise ValidationError(
-            f"sys_dim {sys_dim} cannot hold the live input block {live}")
+        anc_dim = int(math.ceil((kappa - 1.0) * mat.shape[0])) + 40
     r = math.acosh(math.sqrt(kappa))
-    a_s, ad_s = _sparse_mode_ops(sys_dim)
-    a_a, ad_a = _sparse_mode_ops(anc_dim)
-    gen = (r * (kron(ad_s, ad_a) - kron(a_s, a_a))).tocsr()
-    out = _dilated_action(gen, mat, sys_dim, anc_dim, tail_tolerance,
-                          f"amplifier_dilated({kappa})", trace_tolerance)
+    out = _dilated_action(lambda n, k: r * np.sqrt((n + 1.0) * (k + 1.0)), 1, mat,
+                          mat.shape[0] + anc_dim if sys_dim is None else sys_dim,
+                          anc_dim, tail_tolerance, f"amplifier_dilated({kappa})")
     return TruncatedOperator(out, label=f"amplifier_dilated({kappa})[{op.label}]")
 
 
 def attenuator_dilated(lam: float, x, sys_dim: int | None = None,
                        anc_dim: int | None = None,
-                       tail_tolerance: float = 1e-8,
-                       trace_tolerance: float = 1e-6) -> TruncatedOperator:
-    """Beamsplitter with vacuum ancilla; photon number is conserved, so the
-    default register sizes are exact."""
-    spec = Attenuator(lam)
-    lam = spec.transmissivity
-    op = _as_operator(x)
-    mat = op.matrix
-    live = trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat)))))
-    mat = mat[:live, :live]
-    if sys_dim is None:
-        sys_dim = live
-    if anc_dim is None:
-        anc_dim = live
-    if sys_dim < live:
-        raise ValidationError(
-            f"sys_dim {sys_dim} cannot hold the live input block {live}")
+                       tail_tolerance: float = 1e-8) -> TruncatedOperator:
+    """Beamsplitter with vacuum ancilla; the independent attenuator oracle.
+
+    exp(theta (a_s^dag a_a - a_s a_a^dag)) conserves n_s + n_a, so |m,0>
+    stays on |m-k, k> with amplitudes -theta sqrt((m-k)(k+1)).  The chain
+    ends at k = m, so the default registers (the live block) are exact.
+    """
+    lam = Attenuator(lam).transmissivity
+    op, mat = _live_block(x)
     theta = math.acos(math.sqrt(lam))
-    a_s, ad_s = _sparse_mode_ops(sys_dim)
-    a_a, ad_a = _sparse_mode_ops(anc_dim)
-    gen = (theta * (kron(ad_s, a_a) - kron(a_s, ad_a))).tocsr()
-    # Number conservation: registers covering the live block are exact, and
-    # the top ancilla level then holds legitimate population.
-    tail = None if anc_dim >= live else tail_tolerance
-    out = _dilated_action(gen, mat, sys_dim, anc_dim, tail,
-                          f"attenuator_dilated({lam})", trace_tolerance)
+    out = _dilated_action(lambda n, k: -theta * np.sqrt(n * (k + 1.0)), -1, mat,
+                          mat.shape[0] if sys_dim is None else sys_dim,
+                          mat.shape[0] if anc_dim is None else anc_dim,
+                          tail_tolerance, f"attenuator_dilated({lam})")
     return TruncatedOperator(out, label=f"attenuator_dilated({lam})[{op.label}]")
 
 
-def apply(spec: ChannelSpec, x, trim_tolerance: float = 1e-16) -> TruncatedOperator:
+def apply(spec: ChannelSpec, x) -> TruncatedOperator:
     """Apply any ChannelSpec with the closed-form kernels.
 
-    Composition trims numerically dead levels between stages so amplifier
-    growth does not snowball.
+    Composition trims levels below 1e-16 of the scale between stages so
+    amplifier growth does not snowball.
     """
     op = _as_operator(x)
     if isinstance(spec, Amplifier):
@@ -547,7 +542,7 @@ def apply(spec: ChannelSpec, x, trim_tolerance: float = 1e-16) -> TruncatedOpera
         current = op
         for item in reversed(spec.items):
             keep = trim_dim(current.matrix,
-                            trim_tolerance * max(1.0, float(np.max(np.abs(current.matrix)))))
+                            1e-16 * max(1.0, float(np.max(np.abs(current.matrix)))))
             if keep < current.dim:
                 current = TruncatedOperator(current.matrix[:keep, :keep],
                                             label=current.label,

@@ -6,6 +6,9 @@ m, n < N.  Truncation is never silent: constructors that can estimate their
 own tail mass (coherent, thermal) either stay within the tail tolerance or
 raise TruncationError with the dimension that would suffice, and unitaries
 built from exponentials are synthesized on a padded space before cropping.
+The displacement here and the channel dilations' squeezer and beamsplitter
+have generators that are real tridiagonal up to a diagonal phase; one
+helper, `_tridiagonal_expm_rows`, exponentiates all three.
 
 Conventions: the annihilation matrix has sqrt(n) on the first superdiagonal,
 a[n-1, n] = sqrt(n); the displaced parity operator carries the factor 2,
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
 from .errors import BudgetError, InvalidDimensionError, TruncationError, ValidationError
@@ -299,13 +303,24 @@ def displacement_pad(radius: float) -> int:
     return int(math.ceil(8.0 * radius * radius + 6.0 * radius)) + 8
 
 
-def _displacement_padded(beta: complex, work_dim: int) -> np.ndarray:
-    """Unitary D(beta) = exp(beta a^dag - beta* a) on `work_dim` levels."""
-    a = np.diag(np.sqrt(np.arange(1, work_dim, dtype=np.float64)), k=1)
-    gen = beta * a.T - np.conj(beta) * a  # real a, so a^dag = a.T
-    herm = 1j * gen
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+def _tridiagonal_expm_rows(off: np.ndarray, rows: int) -> np.ndarray:
+    """First `rows` rows of exp(-iS), S real symmetric tridiagonal with zero
+    diagonal and off-diagonal `off`: S = V diag(w) V^T gives
+    exp(-iS) = V diag(e^(-iw)) V^T, a symmetric matrix."""
+    w, v = eigh_tridiagonal(np.zeros(off.size + 1), off)
+    return (v[:rows] * np.exp(-1j * w)) @ v.T
+
+
+def _displacement_rows(beta: complex, work_dim: int, rows: int) -> np.ndarray:
+    """First `rows` rows of D(beta) = exp(beta a^dag - beta* a) on `work_dim` levels.
+
+    i(beta a^dag - beta* a) = P S P^dag with P = diag(e^(ik(arg beta + pi/2)))
+    and S real symmetric tridiagonal with off-diagonal |beta| sqrt(k).
+    """
+    k = np.arange(work_dim)
+    phase = np.exp(1j * k * (np.angle(beta) + 0.5 * math.pi))
+    e = _tridiagonal_expm_rows(abs(beta) * np.sqrt(k[1:]), rows)
+    return phase[:rows, None] * e * phase.conj()
 
 
 def displacement_matrix(beta: complex, dim: int) -> TruncatedOperator:
@@ -317,8 +332,8 @@ def displacement_matrix(beta: complex, dim: int) -> TruncatedOperator:
     dim = _check_dim(dim)
     beta = complex(beta)
     work = dim + displacement_pad(abs(beta))
-    full = _displacement_padded(beta, work)
-    return TruncatedOperator(np.ascontiguousarray(full[:dim, :dim]),
+    rows = _displacement_rows(beta, work, dim)
+    return TruncatedOperator(np.ascontiguousarray(rows[:, :dim]),
                              label=f"displacement({beta})")
 
 
@@ -346,10 +361,9 @@ def displaced_parity(alpha: complex, dim: int) -> TruncatedOperator:
     # Element-wise this operator equals 2 D(2 alpha) (-1)^n, so the padding
     # budget is that of a displacement at twice the radius.
     work = dim + displacement_pad(2.0 * abs(alpha))
-    d = _displacement_padded(alpha, work)
+    d = _displacement_rows(alpha, work, dim)
     signs = np.where(np.arange(work) % 2 == 0, 2.0, -2.0)
-    full = (d * signs) @ d.conj().T
-    block = np.ascontiguousarray(full[:dim, :dim])
+    block = (d * signs) @ d.conj().T
     block = 0.5 * (block + block.conj().T)  # exact operator is Hermitian
     return TruncatedOperator(block, label=f"parity({alpha})", hermitian_hint=True)
 

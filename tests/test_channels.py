@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from quasiphase import channels
@@ -348,6 +349,47 @@ class TestDilations:
         with pytest.raises(AncillaTailError):
             amplifier_dilated(2.0, coherent_state(1.0, 16)[0].op,
                               sys_dim=40, anc_dim=3)
+
+    def test_system_cut_raises_trace_leak(self):
+        # The truncated register evolution is unitary, so no trace goes
+        # missing; what shows the cut is the population at its top level.
+        rho = random_density(40, 3, support=10, rng=2)
+        with pytest.raises(TraceLeakError):
+            amplifier_dilated(2.0, rho.op, sys_dim=12)
+        # At kappa = 1 nothing moves, so a register of the live block is exact.
+        assert trace_distance(amplifier_dilated(1.0, rho.op, sys_dim=10), rho) < 1e-14
+
+
+class TestDilationsAgainstDenseRegister:
+    """The per-chain exponentials against expm of the literal two-mode
+    generator on a small sys x anc register, vacuum ancilla traced out."""
+
+    SYS = ANC = 12
+
+    def register_image(self, generator, rho: np.ndarray) -> np.ndarray:
+        a = np.diag(np.sqrt(np.arange(1.0, self.SYS)), k=1)
+        a_s, a_a = np.kron(a, np.eye(self.ANC)), np.kron(np.eye(self.SYS), a)
+        u = scipy.linalg.expm(generator(a_s, a_a))
+        cols = u[:, ::self.ANC][:, :rho.shape[0]]  # U|m,0>
+        v = cols.reshape(self.SYS, self.ANC, rho.shape[0])
+        return np.einsum("sam,mn,zan->sz", v, rho, v.conj())
+
+    def test_squeezer(self):
+        rho = random_density(6, rank=2, rng=21).matrix
+        r = math.acosh(math.sqrt(1.5))
+        expected = self.register_image(lambda s, a: r * (s.T @ a.T - s @ a), rho)
+        # This register cuts every chain with population left; the reference
+        # is the same truncated evolution, so only the tail check is lifted.
+        out = amplifier_dilated(1.5, rho, sys_dim=self.SYS, anc_dim=self.ANC,
+                                tail_tolerance=math.inf)
+        assert np.max(np.abs(out.matrix - expected)) < 1e-13
+
+    def test_beamsplitter(self):
+        rho = random_density(6, rank=2, rng=21).matrix
+        theta = math.acos(math.sqrt(0.3))
+        expected = self.register_image(lambda s, a: theta * (s.T @ a - s @ a.T), rho)
+        out = attenuator_dilated(0.3, rho, sys_dim=self.SYS, anc_dim=self.ANC)
+        assert np.max(np.abs(out.matrix - expected)) < 1e-13
 
 
 class TestApply:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre
 
@@ -127,6 +128,16 @@ class TestDisplacement:
         dim = 24
         d = fock.displacement_matrix(beta, dim).matrix
         assert np.max(np.abs(d - displacement_oracle(beta, dim))) < 1e-10
+
+    @pytest.mark.parametrize("beta", [1.3 - 0.8j, -2.0j])
+    def test_matches_dense_expm(self, beta):
+        # expm of the literal generator on the same padded space, then cropped
+        dim = 30
+        work = dim + fock.displacement_pad(abs(beta))
+        a = np.diag(np.sqrt(np.arange(1.0, work)), k=1)
+        expected = scipy.linalg.expm(beta * a.T - np.conj(beta) * a)[:dim, :dim]
+        d = fock.displacement_matrix(beta, dim).matrix
+        assert np.max(np.abs(d - expected)) < 1e-13
 
     def test_inverse_composition(self):
         # Compose with headroom, then crop: truncation at the composition
