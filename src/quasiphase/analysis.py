@@ -42,6 +42,7 @@ from .channels import (
 from .errors import QuasiphaseError, ValidationError
 from .fock import (
     TruncatedOperator,
+    _check_dim,
     as_density,
     coherent_state,
     crop,
@@ -244,6 +245,7 @@ class VerifyConfig:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 8:
             raise ValidationError(f"dim must be an integer >= 8, got {self.dim!r}")
+        _check_dim(self.dim)  # the battery's dim x dim states fit the budget
         if not (0.0 < self.grid_extent < math.inf and 0.0 < self.grid_step < math.inf):
             raise ValidationError("grid extent and step must be positive and finite")
         if self.grid_extent < self.grid_step:

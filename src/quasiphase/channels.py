@@ -193,6 +193,8 @@ def spec_from_json(text: str) -> ChannelSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"channel JSON is malformed: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("channel JSON is nested too deeply") from exc
     return _spec_from_payload(payload)
 
 
@@ -626,6 +628,7 @@ class Superoperator:
     @property
     def matrix(self) -> np.ndarray:
         n = self.dim
+        _check_dense_budget(16 * n**4, f"a dense superoperator at dim {n}")
         out = np.zeros((n * n, n * n), dtype=np.complex128)
         for offset in range(1 - n, n):
             rows, cols = _offset_entries(n, offset)
@@ -669,6 +672,9 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
     table the partner of entry k is entry k+e.
     Returns (blocks, svds) with svds[e] = (U, s, V^T) of blocks[e].
     """
+    # blocks[e], U and V^T each hold (dim - e)^2 reals: 3 sum_m m^2 in all
+    _check_dense_budget(4 * dim * (dim + 1) * (2 * dim + 1),
+                        f"transfer blocks and their SVDs at dim {dim}")
     atoms = _atoms_in_application_order(spec)
     blocks = [np.eye(dim - offset) for offset in range(dim)]
     cur_dim = dim

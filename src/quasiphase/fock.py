@@ -182,6 +182,7 @@ class DensityOperator:
 def _check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {dim!r}")
+    _check_dense_budget(16 * int(dim) ** 2, f"a {dim} x {dim} complex matrix")
     return int(dim)
 
 
@@ -505,16 +506,23 @@ def operator_to_json(op: TruncatedOperator) -> str:
 
 
 def _json_number(value):
-    """`value` itself, unless it or an entry of its nested lists is a JSON boolean.
+    """`value` itself, if it is a JSON number or nested lists of them.
 
-    bool is an int subclass, so numpy and float() read true / false as 1 / 0,
-    but they are not numbers in JSON: raise TypeError for the caller's handler.
+    Any other leaf raises TypeError for the caller's handler: numpy and
+    float() would read the string "0.5" as 0.5 and true / false as 1 / 0
+    (bool is an int subclass, but type(True) is bool).  Each list's entry
+    types are collected in one pass, not one call per leaf.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
     if isinstance(value, list):
-        for item in value:
-            _json_number(item)
+        kinds = set(map(type, value))
+        if kinds == {list}:
+            for item in value:
+                _json_number(item)
+            return value
+    else:
+        kinds = {type(value)}
+    if not kinds <= {int, float}:
+        raise TypeError(f"expected numbers, got {sorted(k.__name__ for k in kinds)}")
     return value
 
 
@@ -532,6 +540,8 @@ def operator_from_json(text: str) -> TruncatedOperator:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"operator JSON is malformed: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("operator JSON is nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ValidationError("operator JSON must be an object")
     for key in ("dim", "re", "im"):

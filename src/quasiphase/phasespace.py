@@ -24,7 +24,6 @@ P -> Q directly, and the semigroup law composes in t.
 from __future__ import annotations
 
 import cmath
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -460,6 +459,8 @@ def distribution_from_json(text: str) -> QuasiDistribution:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"distribution JSON is malformed: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("distribution JSON is nested too deeply") from exc
     try:
         gspec = payload["grid"]
         grid = PhaseGrid(
@@ -482,14 +483,17 @@ def distribution_from_json(text: str) -> QuasiDistribution:
 
 
 def distribution_to_csv(dist: QuasiDistribution) -> str:
-    """Row-major CSV: re_alpha, im_alpha, value with repr-exact floats."""
-    out = io.StringIO()
-    out.write("re_alpha,im_alpha,value\n")
+    """Row-major CSV: re_alpha, im_alpha, value with repr-exact floats.
+
+    Re alpha is constant along a lattice row and Im alpha down a column, so
+    each axis float is formatted once and its string shared by every line
+    that carries it: an n x n grid costs n^2 + 2n reprs instead of 3 n^2.
+    Values become Python floats one row at a time, so only n of them are
+    alive at once.
+    """
     alphas = dist.grid.alphas()
-    vals = dist.values
-    n = dist.grid.points_per_axis
-    for j in range(n):
-        for k in range(n):
-            a = alphas[j, k]
-            out.write(f"{float(a.real)!r},{float(a.imag)!r},{float(vals[j, k])!r}\n")
-    return out.getvalue()
+    res = [f"{re!r}," for re in alphas[:, 0].real.tolist()]
+    ims = [f"{im!r}," for im in alphas[0].imag.tolist()]
+    rows = ["".join([f"{re}{im}{v!r}\n" for im, v in zip(ims, vals.tolist())])
+            for re, vals in zip(res, dist.values)]
+    return "re_alpha,im_alpha,value\n" + "".join(rows)

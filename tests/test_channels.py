@@ -150,6 +150,14 @@ class TestSpecs:
             spec_from_json(text)
 
     @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"kind": "amplifier", "kappa": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["bare", "in_field"])
+    def test_deeply_nested_json_rejected(self, text):
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            spec_from_json(text)
+
+    @pytest.mark.parametrize("text", [
         '{"kind": "amplifier", "kappa": true}',
         '{"kind": "attenuator", "lambda": false}',
         '{"kind": "additive_noise", "noise": true}',
@@ -568,6 +576,37 @@ class TestSuperoperator:
         for spec in (Amplifier(1.0), Attenuator(1.0)):
             s = superoperator_of(spec, 6)
             assert_allclose(s.matrix, np.eye(36), atol=1e-12)
+
+    def test_dense_matrix_over_the_budget_raises(self):
+        # 16 * 91^4 bytes = 1.10 GB, just over; the blocks themselves are small.
+        s = superoperator_of(Attenuator(0.5), 91)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                s.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 16 * 91**4
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("dim", [512, 100_000])
+    def test_transfer_blocks_over_the_budget_raise(self, dim):
+        # Blocks, U and V^T hold 3 * sum_m m^2 reals: 1.08 GB at dim 512.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                superoperator_of(smoothing_channel(), dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 24 * sum(m * m for m in range(1, dim + 1))
+        assert peak < 1e6
+
+    def test_inverse_over_the_transfer_budget_raises(self):
+        # The dim-600 input is 5.8 MB; its transfer blocks would be 1.7 GB.
+        with pytest.raises(BudgetError):
+            inverse_apply(smoothing_channel(), fock_state(0, 600))
 
     def test_attenuator_matches_kernel(self):
         rho = random_density(16, rank=3, rng=9)

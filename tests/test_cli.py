@@ -84,6 +84,13 @@ class TestStateCommand:
         assert run("state", "fock:x", "--out", tmp_path / "x.json") == 1
         assert "position 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["vacuum", "thermal:1.0", "coherent:0.5,0"])
+    def test_dim_over_the_budget_exits_one(self, tmp_path, capsys, spec):
+        out = tmp_path / "big.json"
+        assert run("state", spec, "--dim", 100_000, "--out", out) == 1
+        assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run("state")
@@ -146,6 +153,18 @@ class TestChannelCommand:
             state.write_text(state_text)
         assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deep_file", ["c.json", "s.json"])
+    def test_deeply_nested_json_exits_one(self, tmp_path, capsys, deep_file):
+        chan, state = tmp_path / "c.json", tmp_path / "s.json"
+        chan.write_text(spec_to_json(smoothing_channel()))
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        (tmp_path / deep_file).write_text("[" * 100_000 + "]" * 100_000)
+        assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert run("channel", tmp_path / "no.json", tmp_path / "no2.json",
@@ -240,6 +259,11 @@ class TestVerifyCommand:
     def test_non_finite_grid_exits_one(self, tmp_path, capsys, flag, value):
         assert run("verify", flag, value, "--out", tmp_path) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_dim_over_the_budget_exits_one(self, tmp_path, capsys):
+        assert run("verify", "--dim", 100_000, "--out", tmp_path) == 1
+        assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unknown_check_name_exits_one(self, tmp_path, capsys):

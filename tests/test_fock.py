@@ -6,6 +6,7 @@ computed here independently of the library's padded-exponential path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.special import eval_genlaguerre
 
 from quasiphase import fock
 from quasiphase.errors import (
+    BudgetError,
     InvalidDimensionError,
     TruncationError,
     ValidationError,
@@ -81,6 +83,31 @@ class TestFockState:
     def test_rejects_bad_level(self, n, dim):
         with pytest.raises(InvalidDimensionError):
             fock.fock_state(n, dim)
+
+
+class TestDenseBudget:
+    # 16 * 100000^2 bytes = 160 GB: each constructor must refuse it before
+    # allocating anything.
+    @pytest.mark.parametrize("build", [
+        lambda d: fock.fock_state(0, d),
+        lambda d: fock.thermal_state(1.0, d),
+        lambda d: fock.coherent_state(0.5, d),
+        lambda d: fock.random_density(d, rank=1, support=2, rng=0),
+        lambda d: fock.displacement_matrix(0.5, d),
+        lambda d: fock.displaced_parity(0.5, d),
+        lambda d: fock.annihilation_matrix(d),
+    ])
+    def test_state_over_the_budget_raises_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                build(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 16 * 100_000**2
+        assert info.value.budget_bytes == fock.DENSE_BUDGET_BYTES
+        assert peak < 1e6
 
 
 class TestCoherent:
@@ -332,6 +359,26 @@ class TestSerialization:
     ])
     def test_json_boolean_is_not_a_number(self, text):
         with pytest.raises(ValidationError):
+            fock.operator_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 1, "re": [["1.0"]], "im": [["0"]]}',
+        '{"dim": 1, "re": [[1.0]], "im": [["0"]]}',
+        '{"dim": 1, "re": [[null]], "im": [[0.0]]}',
+        '{"dim": 1, "re": [[{"re": 1.0}]], "im": [[0.0]]}',
+        '{"dim": 2, "re": [[1.0, 0.0], [0.0, "1e0"]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    ])
+    def test_json_string_is_not_a_number(self, text):
+        # numpy would read "1.0" as 1.0 and null as nan
+        with pytest.raises(ValidationError, match="expected numbers"):
+            fock.operator_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"dim": 1, "re": ' + "[" * 100_000 + "]" * 100_000 + ', "im": [[0.0]]}',
+    ], ids=["bare", "in_field"])
+    def test_deeply_nested_json_rejected(self, text):
+        with pytest.raises(ValidationError, match="nested too deeply"):
             fock.operator_from_json(text)
 
     @pytest.mark.parametrize("dim", ["1.0", "[1]", '"1"'])

@@ -338,6 +338,24 @@ class TestIntegralsAndNegativity:
         assert rep.negative_volume <= 1e-8
 
 
+def _csv_by_rows(dist):
+    """The original line-by-line export, kept as the byte-exact reference."""
+    lines = ["re_alpha,im_alpha,value\n"]
+    alphas = dist.grid.alphas()
+    n = dist.grid.points_per_axis
+    for j in range(n):
+        for k in range(n):
+            a = alphas[j, k]
+            lines.append(f"{float(a.real)!r},{float(a.imag)!r},"
+                         f"{float(dist.values[j, k])!r}\n")
+    return "".join(lines)
+
+
+# subnormal, signed zeros, huge and negative values
+_AWKWARD_VALUES = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1e19,
+                   -1e19, 1.7976931348623157e308, -0.1, 1 / 3, -2.5e-17]
+
+
 def _unit_grid_payload(values=None, **grid):
     """A valid 3 x 3 W distribution payload, with fields overridden."""
     geometry = {"center_re": 0.0, "center_im": 0.0, "half_extent": 1.0, "spacing": 1.0}
@@ -367,6 +385,22 @@ class TestSerialization:
         assert float(re0) == -0.5 and float(im0) == -0.5
         assert float(v0) == dist.values[0, 0]
 
+    @pytest.mark.parametrize("grid", [
+        ps.PhaseGrid(),
+        ps.PhaseGrid(center=0.3 - 1.7j, half_extent=1.0, spacing=0.1),
+        ps.PhaseGrid(center=complex(-0.0, -0.0), half_extent=1.0, spacing=0.25),
+        ps.PhaseGrid(center=complex(-0.0, 0.5), half_extent=1.0, spacing=0.3),
+        ps.PhaseGrid(center=2.0 + 0.0j, half_extent=0.7, spacing=0.3),
+    ])
+    def test_csv_matches_line_by_line_export(self, grid):
+        n = grid.points_per_axis
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n * n)
+        values[:len(_AWKWARD_VALUES)] = _AWKWARD_VALUES
+        rng.shuffle(values)
+        dist = ps.QuasiDistribution(grid=grid, kind="W", values=values.reshape(n, n))
+        assert ps.distribution_to_csv(dist) == _csv_by_rows(dist)
+
     def test_json_rejects_garbage(self):
         with pytest.raises(ValidationError):
             ps.distribution_from_json("]")
@@ -391,6 +425,25 @@ class TestSerialization:
     def test_json_wrong_field_type(self, payload):
         with pytest.raises(ValidationError, match="not a distribution"):
             ps.distribution_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("payload", [
+        _unit_grid_payload(values=[[0.0, 0.0, 0.0], [0.0, "0.5", 0.0], [0.0, 0.0, 0.0]]),
+        _unit_grid_payload(values=[[0.0, 0.0, 0.0], [0.0, None, 0.0], [0.0, 0.0, 0.0]]),
+        _unit_grid_payload(values=[["0", "0", "0"]] * 3),
+        _unit_grid_payload(spacing="1.0"),
+    ])
+    def test_json_string_is_not_a_number(self, payload):
+        # numpy would read "0.5" as 0.5
+        with pytest.raises(ValidationError, match="not a distribution"):
+            ps.distribution_from_json(json.dumps(payload))
+
+    def test_json_deeply_nested_rejected(self):
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            ps.distribution_from_json("[" * 100_000 + "]" * 100_000)
+        payload = json.dumps(_unit_grid_payload(values=[]))
+        deep = payload.replace("[]", "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            ps.distribution_from_json(deep)
 
     def test_unit_grid_payload_parses(self):
         dist = ps.distribution_from_json(json.dumps(_unit_grid_payload()))
