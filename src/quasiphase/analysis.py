@@ -42,7 +42,7 @@ from .channels import (
 from .errors import QuasiphaseError, ValidationError
 from .fock import (
     TruncatedOperator,
-    _check_dim,
+    _check_dense_budget,
     as_density,
     coherent_state,
     crop,
@@ -245,11 +245,18 @@ class VerifyConfig:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 8:
             raise ValidationError(f"dim must be an integer >= 8, got {self.dim!r}")
-        _check_dim(self.dim)  # the battery's dim x dim states fit the budget
+        dim = int(self.dim)
+        # Budget the whole request: ten battery states live at once, and the
+        # parity checks work at 4 dim.
+        _check_dense_budget(
+            16 * max(10 * dim**2, (4 * dim) ** 2),
+            f"the verify suite at dim {dim} (ten battery states of "
+            f"{16 * dim**2:,} bytes each, parity checks at dim {4 * dim})")
         if not (0.0 < self.grid_extent < math.inf and 0.0 < self.grid_step < math.inf):
             raise ValidationError("grid extent and step must be positive and finite")
         if self.grid_extent < self.grid_step:
             raise ValidationError("grid extent below grid step")
+        _halfstep_grid(self)  # the largest grid the suite samples fits the budget
         names = set(CHECK_NAMES)
         for key, value in dict(self.tolerances).items():
             if key not in names:
@@ -292,6 +299,10 @@ def _grid_of(config: VerifyConfig) -> PhaseGrid:
     return PhaseGrid(half_extent=config.grid_extent, spacing=config.grid_step)
 
 
+def _halfstep_grid(config: VerifyConfig) -> PhaseGrid:
+    return PhaseGrid(half_extent=config.grid_extent + 1.25, spacing=config.grid_step)
+
+
 @dataclass(frozen=True, eq=False)
 class _Ladder:
     """One battery state and the rungs above it that several checks read.
@@ -325,8 +336,7 @@ def _check_weierstrass_halfstep_matches_smoothed_wigner(config, ladders):
     # The half-step Gaussian smoothing of W must land on W of the smoothed
     # state.  Sampled on an enlarged grid so the convolution sees the full
     # mass, compared away from the edge where the truncated kernel bites.
-    grid = PhaseGrid(half_extent=config.grid_extent + 1.25,
-                     spacing=config.grid_step)
+    grid = _halfstep_grid(config)
     mask = grid.interior_mask(2.0)
     dev = 0.0
     for rung in ladders:

@@ -58,7 +58,7 @@ from .fock import (
     trace_distance,
     trim_dim,
 )
-from .phasespace import _coherent_block
+from .phasespace import _radial_sums
 
 __all__ = [
     "Amplifier",
@@ -216,7 +216,7 @@ def _spec_from_payload(payload) -> ChannelSpec:
                            epsilon=_json_number(payload.get("epsilon", 1e-10)))
     except KeyError as exc:
         raise ValidationError(f"channel spec {kind!r} missing field {exc}") from exc
-    except TypeError as exc:  # a field of the wrong JSON type
+    except (TypeError, OverflowError) as exc:  # wrong JSON type, or an int beyond float range
         raise ValidationError(f"channel spec {kind!r} has a malformed field: {exc}") from exc
     raise ValidationError(f"unknown channel kind {kind!r}")
 
@@ -561,9 +561,11 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
     * "compose": the smoothing channel applied twice;
     * "reversed": attenuate by 1/2 first, then amplify by 2 (the same map
       in the opposite factor order);
-    * "projection": the literal sum of Q_X(alpha) |alpha><alpha| over the
-      nodes of a product rule (Gauss-Laguerre in |alpha|^2 times equispaced
-      angles) that integrates it exactly on the truncated supports.
+    * "projection": the literal integral of Q_X(alpha) |alpha><alpha|, whose
+      angle integral keeps one phase harmonic of Q per diagonal; those
+      harmonics come straight from the radial kernel at the nodes of a
+      Gauss-Laguerre rule in |alpha|^2, which integrates the rest exactly
+      on the truncated supports.
     """
     op = _as_operator(x)
     if route == "compose":
@@ -580,26 +582,22 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
         dim_out = _amplifier_default_dim(2.0, mat)
         # With t = |alpha|^2 every entry's integrand is e^(-2t) times a
         # polynomial of degree <= live + dim_out - 2: Gauss-Laguerre in u = 2t
-        # integrates it exactly.  Q's phase harmonics stay within live - 1,
-        # so 2 live - 1 equispaced angles resolve them without aliasing.
+        # integrates it exactly.  The angle integral of <m|alpha><alpha|m+e>
+        # keeps Q's phase harmonic u^e alone, which is S_e(t) of the radial
+        # kernel (L_e for <m+e|.|m>), so no angle is ever sampled.
         u, w = roots_laguerre((live + dim_out - 2) // 2 + 1)
         u, w = u[w > 0.0], w[w > 0.0]  # the outermost weights underflow
         t = 0.5 * u
-        angles = 2.0 * math.pi * np.arange(2 * live - 1) / (2 * live - 1)
-        rings = np.sqrt(t)[:, None] * np.exp(1j * angles)
-        block = _coherent_block(rings.ravel(), live)
-        q = np.einsum("pn,pn->p", block.conj() @ work, block).reshape(rings.shape)
-        harmonics = np.fft.fft(q, axis=1) / angles.size  # column e mod M holds e
         # g[k, p] = sqrt(w_k e^t_k / 2) t_k^(p/2) / sqrt(p!): its factors
         # overflow, but g^2 <= w_k e^u_k / 2 stays small, so build it in logs.
         p = np.arange(dim_out)
         g = np.exp(0.5 * (np.log(w) + t - math.log(2.0))[:, None]
                    + 0.5 * (np.log(t)[:, None] * p - gammaln(p + 1.0)))
         out = np.zeros((dim_out, dim_out), dtype=np.complex128)
-        for e in range(min(live, dim_out)):  # offsets e and -e share g g
-            rows, cols = _offset_entries(dim_out, e)
-            out[rows, cols], out[cols, rows] = (
-                harmonics[:, [e, -e]].T @ (g[:, :dim_out - e] * g[:, e:]))
+        for e, sums in _radial_sums(work, t, "Q"):
+            if sums is not None and e < dim_out:  # offsets e and -e share g g
+                rows, cols = _offset_entries(dim_out, e)
+                out[rows, cols], out[cols, rows] = sums @ (g[:, :dim_out - e] * g[:, e:])
         return TruncatedOperator(out, label=f"double_smooth_projection[{op.label}]")
     raise ValidationError(
         f"route must be 'compose', 'reversed' or 'projection', got {route!r}")

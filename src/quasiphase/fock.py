@@ -553,10 +553,13 @@ def operator_from_json(text: str) -> TruncatedOperator:
     try:
         re = np.asarray(_json_number(payload["re"]), dtype=np.float64)
         im = np.asarray(_json_number(payload["im"]), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # incl. ints beyond float range
         raise ValidationError(f"operator JSON parts are not real matrices: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"operator JSON parts have shapes {re.shape} and {im.shape}, "
             f"expected ({dim}, {dim})")
-    return TruncatedOperator(re + 1j * im, label=str(payload.get("label", "")))
+    # set the parts, not re + 1j im: that sum turns a -0.0 real part into +0.0
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    mat.real, mat.imag = re, im
+    return TruncatedOperator(mat, label=str(payload.get("label", "")))

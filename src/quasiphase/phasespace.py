@@ -11,10 +11,14 @@ d^2alpha/pi integration convention so that densities integrate to 1:
 
 Point evaluators (`q_at`, `w_at`, `w_char_at`) are kept deliberately
 independent of the vectorized grid evaluators used by `sample`, so each can
-certify the other: `w_at` builds the parity kernel by padded exponentiation,
-while the grid path runs stable three-term recurrences along the matrix
-diagonals once per distinct |beta|^2 (every intermediate is a displacement
-matrix element, bounded by 1) and sums their phases by Horner's rule.
+certify the other: `q_at` takes the exact coherent amplitudes and `w_at`
+builds the parity kernel by padded exponentiation.  The grid paths for Q and
+W share one kernel: both values are sums over the diagonal offsets e of
+u^e S_e(y) + (s u*)^e L_e(y), u = alpha/|alpha|, where S and L are real
+radial rows weighted by X's two e-diagonals, computed once per distinct
+y = |alpha|^2 (Laguerre recurrences for W, products of Poisson amplitudes for
+Q), and the phases are summed by Horner's rule.  The coherent-projection
+route of `channels` reads the same S and L as its angular harmonics.
 
 The Weierstrass transform `weierstrass` smooths a sampled distribution with
 a Gaussian of variance t; t = 1/2 shifts P -> W -> Q one rung, t = 1 maps
@@ -86,7 +90,10 @@ class PhaseGrid:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "half_extent", float(self.half_extent))
         object.__setattr__(self, "spacing", float(self.spacing))
-        n = self.points_per_axis
+        # 2R/h overflows to inf for extreme geometry: check it against the
+        # budget before int() sees it
+        n = (self.points_per_axis
+             if math.isfinite(2.0 * self.half_extent / self.spacing) else math.inf)
         _check_dense_budget(16 * n * n, f"phase grid of {n} x {n} points")
 
     @property
@@ -206,7 +213,7 @@ def w_char_at(x, alpha: complex, betagrid: PhaseGrid,
     """
     mat = _operator_matrix(x)
     betas = betagrid.alphas()
-    chi = _displacement_trace_grid(mat, betas)
+    chi = _harmonic_fold(mat, betas, "W")
     edge = float(np.max(np.abs(chi[betagrid.boundary_mask()])))
     if edge > boundary_tolerance:
         raise GridTooSmallError(
@@ -270,58 +277,78 @@ def _coherent_block(alphas_flat: np.ndarray, dim: int) -> np.ndarray:
     return out.T
 
 
-def _displacement_trace_grid(mat: np.ndarray, betas) -> np.ndarray:
-    """Tr[X D(beta)] for every beta, by diagonal three-term recurrences.
+def _radial_sums(mat: np.ndarray, y: np.ndarray, kind: str):
+    """Yield (e, [S_e; L_e]) for e from X's highest live offset down to 0.
 
-    chi(beta) = sum_e  u^e S_e(y) + (-u*)^e L_e(y),  u = beta/|beta|,
-    with S, L weighted sums of rho_m = sqrt(m!/(m+e)!) y^(e/2) e^(-y/2)
-    L_m^(e)(y); every rho_m is a displacement matrix element, so the
-    recurrence never leaves [-1, 1] and cannot overflow.  S and L depend on
-    y = |beta|^2 alone, so they are computed once per distinct y; the phases
-    are folded in by Horner's rule, from the highest live offset e down.
+    S_e = sum_m X[m, m+e] R_e[m](y) and L_e = sum_m X[m+e, m] R_e[m](y) at
+    each radius y = |alpha|^2, one real GEMM against the real radial rows:
+    * "W": R_e[m] = sqrt(m!/(m+e)!) y^(e/2) e^(-y/2) L_m^(e)(y), a matrix
+      element of D; the three-term recurrence never leaves [-1, 1];
+    * "Q": R_e[m] = A[m] A[m+e], A[k] = |<k|alpha>| = e^(-y/2) y^(k/2)/sqrt(k!).
+    A dead offset (both diagonals below 1e-18 of X's largest entry) yields
+    None; L_0 repeats S_0.
     """
-    betas = np.asarray(betas, dtype=np.complex128)
-    shape = betas.shape
-    b = betas.ravel()
-    y_grid = np.abs(b) ** 2
-    y, inv = np.unique(y_grid, return_inverse=True)
     dim = mat.shape[0]
+    # the rows buffer, and beside it Q's amplitudes
+    _check_dense_budget(8 * dim * y.size * (2 if kind == "Q" else 1),
+                        f"{kind} radial rows of {dim} levels at {y.size} radii")
+    rows = np.empty((dim, y.size))
+    if kind == "Q":
+        amps = np.empty((dim, y.size))
+        amps[0] = np.exp(-0.5 * y)
+        for k in range(1, dim):
+            amps[k] = amps[k - 1] * np.sqrt(y / k)
+    else:
+        log_y = np.log(y, out=np.full_like(y, -np.inf), where=y > 0.0)
     mag = np.abs(mat)
-    live = 1e-18 * max(float(mag.max()) if mat.size else 0.0, 1e-300)
+    floor = 1e-18 * max(float(mag.max()) if mat.size else 0.0, 1e-300)
     alive = {e for e in range(dim)
-             if max(mag.diagonal(e).max(), mag.diagonal(-e).max()) > live}
-    unit = np.where(y_grid > 0.0, b / np.where(y_grid > 0.0, np.sqrt(y_grid), 1.0), 1.0)
-    unit_conj = unit.conj()
-    log_y = np.log(y, out=np.full_like(y, -np.inf), where=y > 0.0)
-    chi_u, chi_l = np.zeros((2, b.size), dtype=np.complex128)
+             if max(mag.diagonal(e).max(), mag.diagonal(-e).max()) > floor}
     for e in range(max(alive, default=-1), -1, -1):
-        chi_u *= unit
-        chi_l *= unit_conj
         if e not in alive:
+            yield e, None
             continue
-        upper = np.diagonal(mat, offset=e)
-        lower = np.diagonal(mat, offset=-e)
-        rho_prev = np.zeros_like(y)
-        if e == 0:  # 0 * log 0 is NaN, so the e = 0 seed is exp(-y/2) itself
-            rho = np.exp(-0.5 * y)
-        else:  # log_y = -inf makes rho = 0 at y = 0
-            rho = np.exp(0.5 * (e * log_y - y) - 0.5 * gammaln(e + 1))
-        acc_u, acc_l = np.zeros((2, y.size), dtype=np.complex128)
-        for m in range(dim - e):
-            cu = upper[m]
-            cl = lower[m]
-            if cu != 0.0:
-                acc_u += cu * rho
-            if e > 0 and cl != 0.0:
-                acc_l += cl * rho
-            if m < dim - e - 1:
-                coef_a = (2 * m + e + 1 - y) / math.sqrt((m + 1) * (m + e + 1))
-                coef_b = math.sqrt(m * (m + e) / ((m + 1) * (m + e + 1)))
-                rho, rho_prev = coef_a * rho - coef_b * rho_prev, rho
-        chi_u += acc_u[inv]
-        if e > 0:
-            chi_l += ((-1) ** e * acc_l)[inv]
-    return (chi_u + chi_l).reshape(shape)
+        r = rows[:dim - e]
+        if kind == "Q":
+            np.multiply(amps[:dim - e], amps[e:], out=r)
+        else:  # log_y = -inf makes the seed 0 at y = 0, but 0 * log 0 is NaN
+            np.exp(0.5 * (e * log_y - y) - 0.5 * gammaln(e + 1) if e else -0.5 * y,
+                   out=r[0])
+            for m in range(dim - e - 1):
+                a = 1.0 / math.sqrt((m + 1) * (m + e + 1))
+                np.subtract(2 * m + e + 1, y, out=r[m + 1])
+                r[m + 1] *= a * r[m]
+                if m:
+                    r[m + 1] -= (a * math.sqrt(m * (m + e))) * r[m - 1]
+        diags = np.stack([np.diagonal(mat, e), np.diagonal(mat, -e)])
+        sums = np.concatenate([diags.real, diags.imag]) @ r
+        yield e, sums[:2] + 1j * sums[2:]
+
+
+def _harmonic_fold(mat: np.ndarray, points, kind: str) -> np.ndarray:
+    """Tr[X D(beta)] ("W") or <alpha|X|alpha> ("Q") at every point.
+
+    Both are sum_e u^e S_e(y) + (s u*)^e L_e(y), u = point/|point|, with
+    s = -1 for W and +1 for Q (Cahill & Glauber, Phys. Rev. 177, 1857).
+    S and L come once per distinct y = |point|^2; the phases are folded in
+    by Horner's rule, from the highest live offset e down.
+    """
+    points = np.asarray(points, dtype=np.complex128)
+    flat = points.ravel()
+    y_pts = np.abs(flat) ** 2
+    y, inv = np.unique(y_pts, return_inverse=True)
+    # step = [u; s u*]; u = 0 at the origin, where every e > 0 term vanishes
+    step = np.zeros((2, flat.size), dtype=np.complex128)
+    np.divide(flat, np.sqrt(y_pts), out=step[0], where=y_pts > 0.0)
+    np.multiply(step[0].conj(), -1.0 if kind == "W" else 1.0, out=step[1])
+    acc = np.zeros((2, flat.size), dtype=np.complex128)
+    gathered = np.empty(flat.size, dtype=np.complex128)
+    for e, sums in _radial_sums(mat, y, kind):
+        acc *= step
+        if sums is not None:
+            for half in (0, 1) if e else (0,):  # L_0 is S_0 again
+                acc[half] += np.take(sums[half], inv, out=gathered)
+    return (acc[0] + acc[1]).reshape(points.shape)
 
 
 def _trim_matrix(mat: np.ndarray) -> np.ndarray:
@@ -349,14 +376,11 @@ def sample(x, kind: str, grid: PhaseGrid, grid_tolerance: float = GRID_TOLERANCE
     flat = alphas.ravel()
 
     if kind == "Q":
-        work = _trim_matrix(mat)
-        block = _coherent_block(flat, work.shape[0])
-        vals = np.einsum("pn,pn->p", block.conj() @ work, block)
+        vals = _harmonic_fold(_trim_matrix(mat), flat, "Q")
     elif kind == "W":
         work = _trim_matrix(mat)
         signs = np.where(np.arange(work.shape[0]) % 2 == 0, 1.0, -1.0)
-        chi = _displacement_trace_grid(signs[:, None] * work, 2.0 * flat)
-        vals = 2.0 * chi
+        vals = 2.0 * _harmonic_fold(signs[:, None] * work, 2.0 * flat, "W")
     else:
         form = p_form if p_form is not None else recognize_gaussian_p(x)
         if form is None:
@@ -478,7 +502,7 @@ def distribution_from_json(text: str) -> QuasiDistribution:
         raise ValidationError(f"distribution JSON missing key {exc}") from exc
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, shape or range
         raise ValidationError(f"distribution JSON is not a distribution: {exc}") from exc
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from quasiphase.analysis import (
     verify_suite,
 )
 from quasiphase.channels import apply, smoothing_channel
-from quasiphase.errors import ValidationError
+from quasiphase.errors import BudgetError, ValidationError
 from quasiphase.fock import (
     TruncatedOperator,
     coherent_state,
@@ -196,6 +197,19 @@ class TestVerifyConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
             VerifyConfig(**kwargs)
+
+    def test_budgets_the_suite_working_set(self):
+        # ten battery states, and the parity checks at 4 dim: 256 dim^2 bytes
+        VerifyConfig(dim=2048)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                VerifyConfig(dim=2049)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 16 * (4 * 2049) ** 2
+        assert peak < 1e6
 
 
 REDUCED = dict(dim=40, grid_extent=5.0, grid_step=0.1)

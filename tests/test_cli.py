@@ -216,6 +216,14 @@ class TestDistCommand:
         assert "dense budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_grid_exits_one(self, tmp_path, capsys):
+        state, out = tmp_path / "v.json", tmp_path / "w.csv"
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("dist", "W", state, "--grid-extent", "1e300", "--grid-step", "1e-300",
+                   "--out", out) == 1
+        assert "dense budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_of_thermal_has_closed_form(self, tmp_path):
         state, out = tmp_path / "t.json", tmp_path / "p.csv"
         assert run("state", "thermal:1.0", "--dim", 40, "--out", state) == 0
@@ -264,6 +272,12 @@ class TestVerifyCommand:
     def test_dim_over_the_budget_exits_one(self, tmp_path, capsys):
         assert run("verify", "--dim", 100_000, "--out", tmp_path) == 1
         assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_overflowing_grid_exits_one(self, tmp_path, capsys):
+        assert run("verify", "--grid-extent", "1e300", "--grid-step", "1e-300",
+                   "--out", tmp_path) == 1
+        assert "dense budget" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unknown_check_name_exits_one(self, tmp_path, capsys):

@@ -72,6 +72,11 @@ class TestPhaseGrid:
         assert info.value.required_bytes == 16 * n * n
         assert f"{16 * n * n:,} bytes" in str(info.value)
 
+    def test_overflowing_lattice_raises_budget_error(self):
+        # 2R/h is inf here, so the lattice size cannot become an int
+        with pytest.raises(BudgetError, match="dense budget"):
+            ps.PhaseGrid(half_extent=1e300, spacing=1e-300)
+
 
 class TestDistributionType:
     def test_shape_must_match_grid(self):
@@ -174,19 +179,47 @@ NON_HERMITIAN = _RNG.normal(size=(20, 20)) + 1j * _RNG.normal(size=(20, 20))
 CENTRED = ps.PhaseGrid(half_extent=1.5, spacing=0.25)
 
 
+def _husimi_oracle(mat, alphas):
+    """<alpha|X|alpha> point by point from the exact coherent amplitudes."""
+    values = []
+    for alpha in alphas.ravel():
+        amps = ps._coherent_block(np.array([alpha]), mat.shape[0])[0]
+        values.append(amps.conj() @ mat @ amps)
+    return np.array(values).reshape(alphas.shape)
+
+
+FOLD_CASES = pytest.mark.parametrize("mat,grid", [
+    # off-centre: almost every |beta|^2 is distinct
+    (NON_HERMITIAN, ps.PhaseGrid(center=0.37 - 0.21j, half_extent=1.3, spacing=0.13)),
+    # centred: includes beta = 0 and many repeated radii
+    (NON_HERMITIAN, CENTRED),
+    # live offsets 0 and +-15 only, dead offsets in between
+    (_offsets_only(NON_HERMITIAN, (0, 15, -15)), CENTRED),
+], ids=["off_centre", "centred", "dead_offsets"])
+
+
 class TestDisplacementTraceGrid:
-    @pytest.mark.parametrize("mat,grid", [
-        # off-centre: almost every |beta|^2 is distinct
-        (NON_HERMITIAN, ps.PhaseGrid(center=0.37 - 0.21j, half_extent=1.3, spacing=0.13)),
-        # centred: includes beta = 0 and many repeated radii
-        (NON_HERMITIAN, CENTRED),
-        # live offsets 0 and +-15 only, dead offsets in between
-        (_offsets_only(NON_HERMITIAN, (0, 15, -15)), CENTRED),
-    ], ids=["off_centre", "centred", "dead_offsets"])
+    @FOLD_CASES
     def test_matches_per_point_displacement_oracle(self, mat, grid):
         betas = grid.alphas()
-        got = ps._displacement_trace_grid(mat, betas)
+        got = ps._harmonic_fold(mat, betas, "W")
         assert np.max(np.abs(got - _displacement_trace_oracle(mat, betas))) < 1e-10
+
+    @FOLD_CASES
+    def test_husimi_matches_per_point_coherent_oracle(self, mat, grid):
+        alphas = grid.alphas()
+        got = ps._harmonic_fold(mat, alphas, "Q")
+        assert np.max(np.abs(got - _husimi_oracle(mat, alphas))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["W", "Q"])
+    def test_radial_rows_over_the_budget_raise(self, monkeypatch, kind):
+        state = fock.coherent_state(0.5, 16)[0]
+        ys = np.unique(np.abs(CENTRED.alphas()) ** 2).size
+        rows = 8 * 16 * ys * (2 if kind == "Q" else 1)
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", rows - 1)
+        with pytest.raises(BudgetError) as info:
+            ps._harmonic_fold(state.matrix, CENTRED.alphas(), kind)
+        assert info.value.required_bytes == rows
 
     def test_coherent_wigner_grid_matches_point_route(self):
         state, _ = fock.coherent_state(1.2 - 0.7j, 64)
@@ -444,6 +477,11 @@ class TestSerialization:
         deep = payload.replace("[]", "[" * 100_000 + "]" * 100_000)
         with pytest.raises(ValidationError, match="nested too deeply"):
             ps.distribution_from_json(deep)
+
+    def test_json_overflowing_grid_raises_budget_error(self):
+        payload = _unit_grid_payload(half_extent=1e300, spacing=1e-300)
+        with pytest.raises(BudgetError, match="dense budget"):
+            ps.distribution_from_json(json.dumps(payload))
 
     def test_unit_grid_payload_parses(self):
         dist = ps.distribution_from_json(json.dumps(_unit_grid_payload()))

@@ -1,17 +1,25 @@
-"""Property tests: the ladder claim, the route agreement and the CSV export.
+"""Property tests: the ladder claim, the route agreement, the CSV export
+and the JSON interchange forms.
 
-Hypothesis draws the operators and phase-space points; the runs are
-derandomized and bounded, so every run tests the same examples.
+Hypothesis draws the operators, phase-space points and JSON payloads; the
+runs are derandomized and bounded, so every run tests the same examples.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiphase.channels import apply, coherent_projection, smoothing_channel
-from quasiphase.fock import TruncatedOperator, as_density
+from quasiphase.channels import (apply, coherent_projection, smoothing_channel,
+                                 spec_from_json)
+from quasiphase.errors import QuasiphaseError
+from quasiphase.fock import (TruncatedOperator, as_density, operator_from_json,
+                             operator_to_json)
 from quasiphase.phasespace import (PhaseGrid, QuasiDistribution,
-                                   distribution_to_csv, q_at, w_at)
+                                   distribution_from_json, distribution_to_csv,
+                                   q_at, w_at)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
@@ -83,3 +91,68 @@ def test_csv_reads_back_bit_for_bit(dist):
     assert table[:, 0].tobytes() == alphas.real.tobytes()
     assert table[:, 1].tobytes() == alphas.imag.tobytes()
     assert table[:, 2].tobytes() == dist.values.ravel().tobytes()
+
+
+@PROPERTY
+@given(x=operators(), scale=st.floats(allow_nan=False, allow_infinity=False),
+       label=st.text(max_size=12))
+def test_operator_json_round_trip_is_bit_exact(x, scale, label):
+    # scale spans every finite magnitude, subnormals and -0.0 included
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mat = x * scale
+    mat = np.where(np.isfinite(mat), mat, 0.0)
+    back = operator_from_json(operator_to_json(TruncatedOperator(mat, label=label)))
+    assert back.matrix.tobytes() == mat.tobytes()
+    assert back.label == label
+
+
+PARSERS = {"operator": operator_from_json, "channel": spec_from_json,
+           "distribution": distribution_from_json}
+PARSE_EXAMPLES = settings(PROPERTY, max_examples=200)
+
+# JSON integers have no bound, so some lie beyond the float range
+beyond_float = st.builds(lambda bits, sign: sign * 2**bits,
+                         st.integers(min_value=1024, max_value=1400), st.sampled_from([1, -1]))
+numbers = st.floats() | st.integers() | beyond_float
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _parses_or_raises_typed(parse, payload) -> None:
+    try:
+        parse(json.dumps(payload))
+    except QuasiphaseError:
+        pass
+
+
+@st.composite
+def shaped_payloads(draw, kind: str):
+    """Payloads with the right keys, each field any JSON value or number."""
+    field = draw(st.sampled_from([numbers, json_values]))
+    if kind == "operator":
+        return {"dim": draw(field), "re": draw(field), "im": draw(field),
+                "label": draw(json_values)}
+    if kind == "channel":
+        name = draw(st.sampled_from(["amplifier", "attenuator", "additive_noise",
+                                     "compose", "inverse"]))
+        return {"kind": name, "kappa": draw(field), "lambda": draw(field),
+                "noise": draw(field), "epsilon": draw(field),
+                "items": draw(json_values), "inner": draw(json_values)}
+    # grid fields over the whole float range, infinities and NaN included;
+    # the sizes mostly positive, so that extreme ratios reach the lattice
+    sizes = st.floats(min_value=0.0, exclude_min=True) | st.floats()
+    grid = {"center_re": draw(st.floats()), "center_im": draw(st.floats()),
+            "half_extent": draw(sizes), "spacing": draw(sizes)}
+    return {"grid": grid, "kind": draw(st.sampled_from(["P", "W", "Q", "X"])),
+            "values": draw(json_values), "source_label": draw(json_values)}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@PARSE_EXAMPLES
+@given(data=st.data())
+def test_parsers_raise_only_typed_errors(kind, data):
+    _parses_or_raises_typed(PARSERS[kind], data.draw(json_values))
+    _parses_or_raises_typed(PARSERS[kind], data.draw(shaped_payloads(kind)))
