@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .channels import (
 from .errors import QuasiphaseError, ValidationError
 from .fock import (
     TruncatedOperator,
+    _as_operator,
     _check_dense_budget,
     as_density,
     coherent_state,
@@ -87,8 +88,8 @@ DEFAULT_WORK_DIM = 40
 
 def psd_margin(x) -> float:
     """Minimum eigenvalue of the Hermitian part (X + X^dag)/2."""
-    mat = x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
+    mat = _as_operator(x).matrix
+    scale = max(1.0, float(np.max(np.abs(mat))))
     defect = hermiticity_defect(mat)
     if defect > 1e-10 * scale:
         raise ValidationError(
@@ -114,9 +115,7 @@ class ClassicalityReport:
 
 
 def _work_block(x, work_dim: int) -> TruncatedOperator:
-    op = x.op if hasattr(x, "op") else x
-    if not isinstance(op, TruncatedOperator):
-        op = TruncatedOperator(np.asarray(op, dtype=np.complex128))
+    op = _as_operator(x)
     if op.dim > work_dim:
         return crop(op, work_dim)
     if op.dim < work_dim:
@@ -245,6 +244,8 @@ class VerifyConfig:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 8:
             raise ValidationError(f"dim must be an integer >= 8, got {self.dim!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         dim = int(self.dim)
         # Budget the whole request: ten battery states live at once, and the
         # parity checks work at 4 dim.
@@ -397,8 +398,7 @@ def _check_amplified_vacuum_is_thermal(config, ladders):
 def _check_amplified_parity_is_half_vacuum(config, ladders):
     dim = config.dim
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    parity = TruncatedOperator(np.diag(signs).astype(np.complex128),
-                               label="parity", hermitian_hint=True)
+    parity = TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity")
     # Levels below the input dim receive their complete alternating sums;
     # everything above is missing-tail junk, so compare on the input block.
     out = crop(amplifier_apply(2.0, parity, trace_tolerance=None), dim)

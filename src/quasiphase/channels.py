@@ -51,6 +51,7 @@ from .errors import (
 )
 from .fock import (
     TruncatedOperator,
+    _as_operator,
     _check_dense_budget,
     _json_number,
     _tridiagonal_expm_rows,
@@ -221,14 +222,6 @@ def _spec_from_payload(payload) -> ChannelSpec:
     raise ValidationError(f"unknown channel kind {kind!r}")
 
 
-def _as_operator(x) -> TruncatedOperator:
-    if isinstance(x, TruncatedOperator):
-        return x
-    if hasattr(x, "op"):
-        return x.op
-    return TruncatedOperator(np.asarray(x, dtype=np.complex128))
-
-
 def _looks_psd(mat: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(mat))))
     if hermiticity_defect(mat) > 1e-8 * scale:
@@ -264,7 +257,8 @@ def _amplifier_grown_dim(kappa: float, live: int) -> int:
     cutoff = 1e-10 * (1.0 - ratio) / 4.0
     log_ratio = math.log(ratio)
     lo, depth = 1, None
-    while depth is None and lo < 1 << 20:
+    # past kappa ~ 1e16 the ratio rounds to 1 and leaves no cutoff to reach
+    while depth is None and lo < 1 << 20 and cutoff > 0.0:
         j = np.arange(lo, lo + 4096, dtype=np.float64)
         bound = (gammaln(j + live) - gammaln(live) - gammaln(j + 1.0)
                  + j * log_ratio)
@@ -355,8 +349,7 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
             raise TraceLeakError(
                 f"amplifier({kappa}) lost trace {deficit:.3e} at dim_out={dim_out}; "
                 f"enlarge the output dimension", deficit=float(deficit), dim_out=dim_out)
-    return TruncatedOperator(out, label=f"amplifier({kappa})[{op.label}]",
-                             hermitian_hint=op.hermitian_hint)
+    return TruncatedOperator(out, label=f"amplifier({kappa})[{op.label}]")
 
 
 def attenuator_apply(lam: float, x) -> TruncatedOperator:
@@ -371,8 +364,7 @@ def attenuator_apply(lam: float, x) -> TruncatedOperator:
     mat = op.matrix
     dim = mat.shape[0]
     out = _shell_sum(_kraus_shells(spec, dim, dim), mat, dim)
-    return TruncatedOperator(out, label=f"attenuator({spec.transmissivity})[{op.label}]",
-                             hermitian_hint=op.hermitian_hint)
+    return TruncatedOperator(out, label=f"attenuator({spec.transmissivity})[{op.label}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,11 +455,11 @@ def _dilated_action(coupling, shift: int, mat: np.ndarray, sys_dim: int,
     amps = np.zeros((live, anc_dim), dtype=np.complex128)
     tops = np.zeros(2)  # population at ancilla cuts, at system cuts
     for m in range(live):
-        k = np.arange(min(anc_dim, sys_dim - m if shift > 0 else m + 1))
-        g = coupling(m + shift * k, k)
-        amps[m, :k.size] = _tridiagonal_expm_rows(g[:-1], 1)[0] * _I_POWERS[k % 4]
-        if g[-1] != 0.0:
-            tops[int(k.size < anc_dim)] += mat[m, m].real * abs(amps[m, k.size - 1]) ** 2
+        sites = min(anc_dim, sys_dim - m if shift > 0 else m + 1)
+        row = _tridiagonal_expm_rows(sites, lambda k: coupling(m + shift * k, k), 1)[0]
+        amps[m, :sites] = row * _I_POWERS[np.arange(sites) % 4]
+        if coupling(m + shift * (sites - 1), sites - 1) != 0.0:
+            tops[int(sites < anc_dim)] += mat[m, m].real * abs(amps[m, sites - 1]) ** 2
     out = np.zeros((sys_dim, sys_dim), dtype=np.complex128)
     for k in range(anc_dim):  # out[m+shift k, n+shift k] += c_m[k] X[m,n] c_n[k]*
         lo = max(0, -shift * k)
@@ -547,8 +539,7 @@ def apply(spec: ChannelSpec, x) -> TruncatedOperator:
                             1e-16 * max(1.0, float(np.max(np.abs(current.matrix)))))
             if keep < current.dim:
                 current = TruncatedOperator(current.matrix[:keep, :keep],
-                                            label=current.label,
-                                            hermitian_hint=current.hermitian_hint)
+                                            label=current.label)
             current = apply(item, current)
         return current
     raise ValidationError(f"not a channel spec: {spec!r}")

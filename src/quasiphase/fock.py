@@ -4,7 +4,8 @@ Everything in this package works on an N-level truncation of the oscillator
 Hilbert space.  A matrix X represents the number-basis block <m|X|n> for
 m, n < N.  Truncation is never silent: constructors that can estimate their
 own tail mass (coherent, thermal) either stay within the tail tolerance or
-raise TruncationError with the dimension that would suffice, and unitaries
+raise TruncationError with the dimension that would suffice (BudgetError
+when no dimension within the dense budget would), and unitaries
 built from exponentials are synthesized on a padded space before cropping.
 The displacement here and the channel dilations' squeezer and beamsplitter
 have generators that are real tridiagonal up to a diagonal phase; one
@@ -101,25 +102,14 @@ class TailReport:
 class TruncatedOperator:
     """A number-basis matrix block on the first `dim` Fock levels.
 
-    `hermitian_hint` marks operators whose exact counterpart is Hermitian;
-    consumers may then fold roundoff imaginary parts of real quantities.
     The matrix is stored read-only.
     """
 
     matrix: np.ndarray
     label: str = ""
-    hermitian_hint: bool = False
 
     def __post_init__(self):
-        arr = _as_square_complex(self.matrix)
-        object.__setattr__(self, "matrix", arr)
-        if self.hermitian_hint:
-            defect = hermiticity_defect(arr)
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            if defect > 1e-10 * scale:
-                raise ValidationError(
-                    f"operator hinted Hermitian has defect {defect:.3e}"
-                )
+        object.__setattr__(self, "matrix", _as_square_complex(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -128,11 +118,6 @@ class TruncatedOperator:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(
-            self.matrix.conj().T, label=self.label, hermitian_hint=self.hermitian_hint
-        )
 
     def relabeled(self, label: str) -> "TruncatedOperator":
         return replace(self, label=label)
@@ -200,7 +185,7 @@ def fock_state(n: int, dim: int) -> DensityOperator:
         raise InvalidDimensionError(f"fock level n={n!r} must satisfy 0 <= n < dim={dim}")
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[n, n] = 1.0
-    return as_density(TruncatedOperator(mat, label=f"fock({n})", hermitian_hint=True))
+    return as_density(TruncatedOperator(mat, label=f"fock({n})"))
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -220,22 +205,27 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 
 def coherent_tail(alpha: complex, dim: int) -> float:
     """Poisson tail mass of |alpha> beyond the first `dim` levels."""
-    y = abs(complex(alpha)) ** 2
+    r = abs(complex(alpha))
+    y = r * r  # inf, where r ** 2 would raise OverflowError
     if y == 0.0:
         return 0.0
     # sum_{n>=dim} e^-y y^n / n!  =  P(dim, y), the regularized lower gamma.
     return float(gammainc(dim, y))
 
 
-def _required_coherent_dim(alpha: complex, tol: float) -> int:
-    y = abs(complex(alpha)) ** 2
-    hi = max(2, int(math.ceil(y + 12.0 * math.sqrt(y) + 25.0)))
-    while coherent_tail(alpha, hi) > tol:
-        hi *= 2
-    lo = 1
+def _required_dim(tail_at, tol: float, what: str) -> int:
+    """Smallest dim with tail_at(dim) <= tol, for a decreasing tail_at.
+
+    No dim past the dense budget can be built, so the search ends there.
+    """
+    lo, hi = 1, math.isqrt(DENSE_BUDGET_BYTES // 16)
+    if tail_at(hi) > tol:
+        _check_dense_budget(16 * (hi + 1) ** 2,
+                            f"{what} needs over {hi} levels for tail tolerance {tol:g}, "
+                            f"and a dim of {hi + 1}")
     while lo < hi:
         mid = (lo + hi) // 2
-        if coherent_tail(alpha, mid) <= tol:
+        if tail_at(mid) <= tol:
             hi = mid
         else:
             lo = mid + 1
@@ -250,7 +240,8 @@ def coherent_state(
     alpha = complex(alpha)
     tail = coherent_tail(alpha, dim)
     if tail > tail_tolerance:
-        need = _required_coherent_dim(alpha, tail_tolerance)
+        need = _required_dim(lambda n: coherent_tail(alpha, n), tail_tolerance,
+                             f"coherent state alpha={alpha}")
         raise TruncationError(
             f"coherent state alpha={alpha} loses tail mass {tail:.3e} at dim={dim}; "
             f"dim={need} would satisfy tolerance {tail_tolerance:g}",
@@ -260,7 +251,7 @@ def coherent_state(
     amps = coherent_amplitudes(alpha, dim)
     mat = np.outer(amps, amps.conj())
     state = as_density(
-        TruncatedOperator(mat, label=f"coherent({alpha})", hermitian_hint=True),
+        TruncatedOperator(mat, label=f"coherent({alpha})"),
         trace_tolerance=max(TRACE_TOLERANCE, 2.0 * tail_tolerance),
     )
     return state, TailReport(input_dim=dim, work_dim=dim, tail_mass=tail)
@@ -279,7 +270,8 @@ def thermal_state(
     q = nbar / (nbar + 1.0)
     tail = q**dim
     if tail > tail_tolerance:
-        need = int(math.ceil(math.log(tail_tolerance) / math.log(q)))
+        # q rounds to 1 for nbar past ~1e16, so search rather than divide by log q
+        need = _required_dim(lambda n: q**n, tail_tolerance, f"thermal state nbar={nbar}")
         raise TruncationError(
             f"thermal state nbar={nbar} loses tail mass {tail:.3e} at dim={dim}; "
             f"dim={need} would satisfy tolerance {tail_tolerance:g}",
@@ -289,7 +281,7 @@ def thermal_state(
     probs = (1.0 - q) * q ** np.arange(dim, dtype=np.float64)
     mat = np.diag(probs).astype(np.complex128)
     return as_density(
-        TruncatedOperator(mat, label=f"thermal({nbar})", hermitian_hint=True),
+        TruncatedOperator(mat, label=f"thermal({nbar})"),
         trace_tolerance=max(TRACE_TOLERANCE, 2.0 * tail_tolerance),
     )
 
@@ -301,14 +293,19 @@ def displacement_pad(radius: float) -> int:
     floor keeps the retained-block corner at machine accuracy for small
     radius, where the quadratic alone under-pads.
     """
-    return int(math.ceil(8.0 * radius * radius + 6.0 * radius)) + 8
+    levels = 8.0 * radius * radius + 6.0 * radius
+    if not math.isfinite(levels):
+        raise ValidationError(f"displacement radius {radius} has no finite padding")
+    return int(math.ceil(levels)) + 8
 
 
-def _tridiagonal_expm_rows(off: np.ndarray, rows: int) -> np.ndarray:
-    """First `rows` rows of exp(-iS), S real symmetric tridiagonal with zero
-    diagonal and off-diagonal `off`: S = V diag(w) V^T gives
-    exp(-iS) = V diag(e^(-iw)) V^T, a symmetric matrix."""
-    w, v = eigh_tridiagonal(np.zeros(off.size + 1), off)
+def _tridiagonal_expm_rows(n: int, off, rows: int) -> np.ndarray:
+    """First `rows` rows of exp(-iS), S the n-level real symmetric tridiagonal
+    with zero diagonal and off-diagonal off(k) between sites k and k+1:
+    S = V diag(w) V^T gives exp(-iS) = V diag(e^(-iw)) V^T, a symmetric matrix.
+    The budget is checked before `off` allocates anything of length n."""
+    _check_dense_budget(8 * n * n, f"a tridiagonal exponential of {n} levels")
+    w, v = eigh_tridiagonal(np.zeros(n), off(np.arange(n - 1.0)))
     return (v[:rows] * np.exp(-1j * w)) @ v.T
 
 
@@ -318,9 +315,8 @@ def _displacement_rows(beta: complex, work_dim: int, rows: int) -> np.ndarray:
     i(beta a^dag - beta* a) = P S P^dag with P = diag(e^(ik(arg beta + pi/2)))
     and S real symmetric tridiagonal with off-diagonal |beta| sqrt(k).
     """
-    k = np.arange(work_dim)
-    phase = np.exp(1j * k * (np.angle(beta) + 0.5 * math.pi))
-    e = _tridiagonal_expm_rows(abs(beta) * np.sqrt(k[1:]), rows)
+    e = _tridiagonal_expm_rows(work_dim, lambda k: abs(beta) * np.sqrt(k + 1.0), rows)
+    phase = np.exp(1j * np.arange(work_dim) * (np.angle(beta) + 0.5 * math.pi))
     return phase[:rows, None] * e * phase.conj()
 
 
@@ -358,7 +354,7 @@ def displaced_parity(alpha: complex, dim: int) -> TruncatedOperator:
     if alpha == 0.0:
         signs = np.where(np.arange(dim) % 2 == 0, 2.0, -2.0)
         return TruncatedOperator(np.diag(signs).astype(np.complex128),
-                                 label="parity(0)", hermitian_hint=True)
+                                 label="parity(0)")
     # Element-wise this operator equals 2 D(2 alpha) (-1)^n, so the padding
     # budget is that of a displacement at twice the radius.
     work = dim + displacement_pad(2.0 * abs(alpha))
@@ -366,7 +362,7 @@ def displaced_parity(alpha: complex, dim: int) -> TruncatedOperator:
     signs = np.where(np.arange(work) % 2 == 0, 2.0, -2.0)
     block = (d * signs) @ d.conj().T
     block = 0.5 * (block + block.conj().T)  # exact operator is Hermitian
-    return TruncatedOperator(block, label=f"parity({alpha})", hermitian_hint=True)
+    return TruncatedOperator(block, label=f"parity({alpha})")
 
 
 def random_density(
@@ -388,7 +384,7 @@ def random_density(
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[:support, :support] = block
     return as_density(TruncatedOperator(
-        mat, label=f"random(rank={rank},support={support})", hermitian_hint=True))
+        mat, label=f"random(rank={rank},support={support})"))
 
 
 def as_density(op, **tolerances) -> DensityOperator:
@@ -400,17 +396,16 @@ def as_density(op, **tolerances) -> DensityOperator:
     return DensityOperator(op, **tolerances)
 
 
-def _matrix_of(x) -> np.ndarray:
+def _as_operator(x) -> TruncatedOperator:
+    """A state's operator, an operator itself, or a validated square matrix."""
     if isinstance(x, DensityOperator):
-        return x.matrix
-    if isinstance(x, TruncatedOperator):
-        return x.matrix
-    return _as_square_complex(x)
+        return x.op
+    return x if isinstance(x, TruncatedOperator) else TruncatedOperator(x)
 
 
 def mean_photon(x) -> float:
     """Tr[a^dag a X]; real part, with the imaginary part required to be roundoff."""
-    mat = _matrix_of(x)
+    mat = _as_operator(x).matrix
     diag = np.diagonal(mat)
     value = np.sum(np.arange(mat.shape[0]) * diag)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
@@ -420,7 +415,7 @@ def mean_photon(x) -> float:
 
 def trace_distance(x, y) -> float:
     """Half the trace norm of X - Y (operators embedded to a common dim)."""
-    a, b = _matrix_of(x), _matrix_of(y)
+    a, b = _as_operator(x).matrix, _as_operator(y).matrix
     n = max(a.shape[0], b.shape[0])
     diff = _embedded(a, n) - _embedded(b, n)
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
@@ -434,7 +429,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def fidelity(x, y) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(X) Y sqrt(X)))^2 for PSD inputs."""
-    a, b = _matrix_of(x), _matrix_of(y)
+    a, b = _as_operator(x).matrix, _as_operator(y).matrix
     n = max(a.shape[0], b.shape[0])
     a, b = _embedded(a, n), _embedded(b, n)
     root = _psd_sqrt(a)
@@ -451,33 +446,27 @@ def _embedded(mat: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _operator_of(x) -> TruncatedOperator:
-    return x.op if isinstance(x, DensityOperator) else x
-
-
 def embed(op: TruncatedOperator, dim: int) -> TruncatedOperator:
     """Zero-pad an operator block (or a state's) up to `dim` levels."""
     dim = _check_dim(dim)
-    op = _operator_of(op)
+    op = _as_operator(op)
     if dim < op.dim:
         raise InvalidDimensionError(f"embed target {dim} below operator dim {op.dim}")
-    return TruncatedOperator(_embedded(op.matrix, dim), label=op.label,
-                             hermitian_hint=op.hermitian_hint)
+    return TruncatedOperator(_embedded(op.matrix, dim), label=op.label)
 
 
 def crop(op: TruncatedOperator, dim: int) -> TruncatedOperator:
     """Keep the low `dim`-level block of an operator (or a state's)."""
     dim = _check_dim(dim)
-    op = _operator_of(op)
+    op = _as_operator(op)
     if dim > op.dim:
         raise InvalidDimensionError(f"crop target {dim} above operator dim {op.dim}")
-    return TruncatedOperator(np.ascontiguousarray(op.matrix[:dim, :dim]),
-                             label=op.label, hermitian_hint=op.hermitian_hint)
+    return TruncatedOperator(np.ascontiguousarray(op.matrix[:dim, :dim]), label=op.label)
 
 
 def trim_dim(x, tol: float = 1e-14) -> int:
     """Smallest dim whose discarded rows and columns are all below `tol`."""
-    mat = _matrix_of(x)
+    mat = _as_operator(x).matrix
     row = np.max(np.abs(mat), axis=1)
     col = np.max(np.abs(mat), axis=0)
     live = np.nonzero(np.maximum(row, col) > tol)[0]
@@ -495,12 +484,12 @@ def operator_to_json(op: TruncatedOperator) -> str:
     Floats are emitted with repr (shortest exact round-trip), so
     load(save(X)) reproduces X bit for bit.
     """
-    mat = _matrix_of(op)
+    op = _as_operator(op)
     payload = {
-        "dim": int(mat.shape[0]),
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
-        "label": str(getattr(op, "label", "")),
+        "dim": op.dim,
+        "re": op.matrix.real.tolist(),
+        "im": op.matrix.imag.tolist(),
+        "label": op.label,
     }
     return json.dumps(payload)
 

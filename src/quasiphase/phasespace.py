@@ -28,9 +28,8 @@ P -> Q directly, and the semigroup law composes in t.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,8 +39,8 @@ from .errors import (
     SingularPError,
     ValidationError,
 )
-from .fock import (DensityOperator, TruncatedOperator, _check_dense_budget,
-                   _json_number, displaced_parity, trim_dim)
+from .fock import (DensityOperator, _as_operator, _check_dense_budget,
+                   coherent_amplitudes, displaced_parity, trim_dim)
 
 __all__ = [
     "GRID_TOLERANCE",
@@ -59,8 +58,6 @@ __all__ = [
     "weierstrass",
     "integrate",
     "negativity",
-    "distribution_to_json",
-    "distribution_from_json",
     "distribution_to_csv",
 ]
 
@@ -167,12 +164,6 @@ class NegativityReport:
     negative_volume: float
 
 
-def _operator_matrix(x) -> np.ndarray:
-    if isinstance(x, (DensityOperator, TruncatedOperator)):
-        return x.matrix
-    raise ValidationError(f"expected an operator, got {type(x).__name__}")
-
-
 def _real_guard(value: complex, what: str) -> float:
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         raise ValidationError(f"{what} of a Hermitian operator has imaginary "
@@ -187,39 +178,39 @@ def q_at(x, alpha: complex) -> float:
     space; no tail gate is applied here, so the value degrades gracefully to
     0 far outside the represented region instead of refusing.
     """
-    mat = _operator_matrix(x)
-    amps = _coherent_block(np.array([complex(alpha)]), mat.shape[0])[0]
+    mat = _as_operator(x).matrix
+    amps = coherent_amplitudes(alpha, mat.shape[0])
     val = complex(amps.conj() @ mat @ amps)
     return _real_guard(val, "Husimi value")
 
 
 def w_at(x, alpha: complex) -> float:
     """Tr[X pi(alpha)] with the parity kernel built by padded exponentiation."""
-    mat = _operator_matrix(x)
+    mat = _as_operator(x).matrix
     kernel = displaced_parity(alpha, mat.shape[0]).matrix
     val = complex(np.sum(mat * kernel.T))
     return _real_guard(val, "Wigner value")
 
 
-def w_char_at(x, alpha: complex, betagrid: PhaseGrid,
-              boundary_tolerance: float = 1e-3) -> float:
+def w_char_at(x, alpha: complex, betagrid: PhaseGrid) -> float:
     """Wigner value by quadrature of the characteristic function.
 
     Independent of `w_at`: integrates Tr[X D(beta)] against the phase
     exp(alpha beta* - alpha* beta) over `betagrid`.  The grid must enclose
     the characteristic function's support: the largest |Tr[X D(beta)]| on
-    the boundary ring must stay below `boundary_tolerance` (tuned to the
-    ~5e-3 accuracy this quadrature is used for; tighten for more).
+    the boundary ring must stay below 1e-3, a gate tuned to the ~5e-3
+    accuracy this quadrature is used for.
     """
-    mat = _operator_matrix(x)
+    mat = _as_operator(x).matrix
     betas = betagrid.alphas()
     chi = _harmonic_fold(mat, betas, "W")
+    tolerance = 1e-3
     edge = float(np.max(np.abs(chi[betagrid.boundary_mask()])))
-    if edge > boundary_tolerance:
+    if edge > tolerance:
         raise GridTooSmallError(
             f"characteristic function is {edge:.3e} at the beta-grid boundary, "
-            f"above {boundary_tolerance:g}; enlarge the grid",
-            boundary_value=edge, tolerance=boundary_tolerance)
+            f"above {tolerance:g}; enlarge the grid",
+            boundary_value=edge, tolerance=tolerance)
     alpha = complex(alpha)
     phase = np.exp(alpha * betas.conj() - np.conj(alpha) * betas)
     h = betagrid.spacing
@@ -240,7 +231,7 @@ def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
     (vacuum-like) case is the delta limit and maps to GaussianP(0), whose
     evaluation raises SingularPError.
     """
-    mat = _operator_matrix(x)
+    mat = _as_operator(x).matrix
     dim = mat.shape[0]
     off = mat - np.diag(np.diagonal(mat))
     if float(np.max(np.abs(off))) > diag_tolerance:
@@ -261,20 +252,6 @@ def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
     weight = float(diag[0] / (1.0 - q))  # total geometric mass
     nbar = float(q / (1.0 - q))
     return GaussianP(nbar, weight=weight)
-
-
-def _coherent_block(alphas_flat: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of <n|alpha_p> for n < dim; exact truncated amplitudes.
-
-    The recurrence fills a (dim, points) array so each level is one
-    contiguous write; the (points, dim) view of it is returned.
-    """
-    y = np.abs(alphas_flat) ** 2
-    out = np.empty((dim, alphas_flat.size), dtype=np.complex128)
-    out[0] = np.exp(-0.5 * y)
-    for n in range(1, dim):
-        out[n] = out[n - 1] * alphas_flat / math.sqrt(n)
-    return out.T
 
 
 def _radial_sums(mat: np.ndarray, y: np.ndarray, kind: str):
@@ -356,22 +333,22 @@ def _trim_matrix(mat: np.ndarray) -> np.ndarray:
     return mat[:keep, :keep]
 
 
-def sample(x, kind: str, grid: PhaseGrid, grid_tolerance: float = GRID_TOLERANCE,
+def sample(x, kind: str, grid: PhaseGrid,
            p_form: GaussianP | None = None) -> QuasiDistribution:
     """Evaluate one distribution of X on every grid point.
 
     For density inputs two invariants are enforced: Q stays within
     [-1e-10, 1 + 1e-10], and the grid quadrature reproduces the trace within
-    `grid_tolerance` (raising GridTooSmallError otherwise).  P is available
+    GRID_TOLERANCE (raising GridTooSmallError otherwise).  P is available
     only when a closed form exists: pass one explicitly via `p_form`, or let
     the thermal form be recognized from the matrix; anything else raises
     SingularPError.
     """
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-    mat = _operator_matrix(x)
+    op = _as_operator(x)
+    mat = op.matrix
     is_density = isinstance(x, DensityOperator)
-    label = getattr(x, "label", "")
     alphas = grid.alphas()
     flat = alphas.ravel()
 
@@ -382,7 +359,7 @@ def sample(x, kind: str, grid: PhaseGrid, grid_tolerance: float = GRID_TOLERANCE
         signs = np.where(np.arange(work.shape[0]) % 2 == 0, 1.0, -1.0)
         vals = 2.0 * _harmonic_fold(signs[:, None] * work, 2.0 * flat, "W")
     else:
-        form = p_form if p_form is not None else recognize_gaussian_p(x)
+        form = p_form if p_form is not None else recognize_gaussian_p(op)
         if form is None:
             raise SingularPError(
                 "no closed-form P available for this operator; its P "
@@ -410,34 +387,34 @@ def sample(x, kind: str, grid: PhaseGrid, grid_tolerance: float = GRID_TOLERANCE
                     f"Husimi samples outside [0, 1]: min {lo:.3e}, max {hi:.3e}")
         total = float(values.sum() * grid.spacing**2 / math.pi)
         target = float(np.trace(mat).real)
-        if abs(total - target) > grid_tolerance:
+        if abs(total - target) > GRID_TOLERANCE:
             raise GridTooSmallError(
                 f"grid quadrature of {kind} gives {total:.6g}, trace is "
                 f"{target:.6g}; enlarge or refine the grid",
-                boundary_value=abs(total - target), tolerance=grid_tolerance)
-    return QuasiDistribution(grid=grid, kind=kind, values=values, source_label=label)
+                boundary_value=abs(total - target), tolerance=GRID_TOLERANCE)
+    return QuasiDistribution(grid=grid, kind=kind, values=values, source_label=op.label)
 
 
 _SMOOTHED_KIND = {("P", 0.5): "W", ("W", 0.5): "Q", ("P", 1.0): "Q"}
 
 
-def weierstrass(dist: QuasiDistribution, t: float,
-                boundary_tolerance: float = 1e-8) -> QuasiDistribution:
+def weierstrass(dist: QuasiDistribution, t: float) -> QuasiDistribution:
     """Gaussian smoothing (1/t) integral of exp(-|a-b|^2/t) on the same grid.
 
-    Requires the source to have decayed below `boundary_tolerance` on its
-    boundary ring, since mass outside the grid is silently lost.  The kernel
-    factorizes over axes, so the transform is two matrix products.
+    Requires the source to have decayed below 1e-8 on its boundary ring,
+    since mass outside the grid is silently lost.  The kernel factorizes
+    over axes, so the transform is two matrix products.
     """
     t = float(t)
     if t <= 0.0:
         raise ValidationError(f"smoothing variance must be positive, got {t}")
+    tolerance = 1e-8
     edge = float(np.max(np.abs(dist.values[dist.grid.boundary_mask()])))
-    if edge > boundary_tolerance:
+    if edge > tolerance:
         raise GridTooSmallError(
             f"source is {edge:.3e} at the grid boundary, above "
-            f"{boundary_tolerance:g}; enlarge the grid before smoothing",
-            boundary_value=edge, tolerance=boundary_tolerance)
+            f"{tolerance:g}; enlarge the grid before smoothing",
+            boundary_value=edge, tolerance=tolerance)
     off = dist.grid.axis_offsets()
     kernel = np.exp(-np.subtract.outer(off, off) ** 2 / t)
     h = dist.grid.spacing
@@ -461,49 +438,6 @@ def negativity(dist: QuasiDistribution) -> NegativityReport:
         min_value=float(dist.values.min()),
         negative_volume=float(-neg.sum() * h * h / math.pi),
     )
-
-
-def distribution_to_json(dist: QuasiDistribution) -> str:
-    payload = {
-        "kind": dist.kind,
-        "grid": {
-            "center_re": dist.grid.center.real,
-            "center_im": dist.grid.center.imag,
-            "half_extent": dist.grid.half_extent,
-            "spacing": dist.grid.spacing,
-        },
-        "values": dist.values.tolist(),
-        "source_label": dist.source_label,
-    }
-    return json.dumps(payload)
-
-
-def distribution_from_json(text: str) -> QuasiDistribution:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"distribution JSON is malformed: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("distribution JSON is nested too deeply") from exc
-    try:
-        gspec = payload["grid"]
-        grid = PhaseGrid(
-            center=complex(_json_number(gspec["center_re"]),
-                           _json_number(gspec["center_im"])),
-            half_extent=_json_number(gspec["half_extent"]),
-            spacing=_json_number(gspec["spacing"]),
-        )
-        return QuasiDistribution(
-            grid=grid, kind=payload["kind"],
-            values=np.asarray(_json_number(payload["values"]), dtype=np.float64),
-            source_label=str(payload.get("source_label", "")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"distribution JSON missing key {exc}") from exc
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, shape or range
-        raise ValidationError(f"distribution JSON is not a distribution: {exc}") from exc
 
 
 def distribution_to_csv(dist: QuasiDistribution) -> str:

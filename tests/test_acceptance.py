@@ -87,8 +87,7 @@ def test_criterion_02_doubling_amplifier_on_vacuum_and_parity():
                                       fock.thermal_state(1.0, dilated.dim))
 
     signs = np.where(np.arange(DIM) % 2 == 0, 1.0, -1.0)
-    parity = fock.TruncatedOperator(np.diag(signs).astype(np.complex128),
-                                    label="parity", hermitian_hint=True)
+    parity = fock.TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity")
     # Levels below the input dim receive complete alternating sums; above
     # them the image reflects only the truncated input, so compare there.
     img = fock.crop(channels.amplifier_apply(2.0, parity,

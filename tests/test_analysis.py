@@ -193,6 +193,7 @@ class TestVerifyConfig:
         {"only": ()},
         {"grid_extent": math.inf}, {"grid_extent": math.nan},
         {"grid_step": math.inf}, {"grid_step": math.nan},
+        {"seed": -1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):

@@ -63,7 +63,7 @@ from quasiphase.fock import (
 
 def bare_parity(dim: int) -> TruncatedOperator:
     signs = ((-1.0) ** np.arange(dim)).astype(np.complex128)
-    return TruncatedOperator(np.diag(signs), label="parity", hermitian_hint=True)
+    return TruncatedOperator(np.diag(signs), label="parity")
 
 
 def embedded_max_diff(a: TruncatedOperator, b: TruncatedOperator) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ class TestStateCommand:
         assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,dim", [
+        ("coherent:inf,0", 64), ("coherent:1e200,0", 64), ("coherent:1e154,0", 64),
+        ("thermal:1e17", 64), ("thermal:1e300", 64),
+        # the padded displacement of parity:25 would take 3.08 GiB
+        ("parity:25,0", 8), ("parity:1e10,0", 64), ("parity:inf,0", 64),
+        ("parity:nan,0", 64),
+    ])
+    def test_extreme_values_exit_one_before_allocating(self, tmp_path, capsys, spec, dim):
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            assert run("state", spec, "--dim", dim, "--out", out) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run("state")
@@ -153,6 +173,17 @@ class TestChannelCommand:
             state.write_text(state_text)
         assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel_text", [
+        '{"kind": "amplifier", "kappa": 1e300}',
+        '{"kind": "additive_noise", "noise": 1e300}',
+    ])
+    def test_gain_near_float_max_exits_one(self, tmp_path, capsys, channel_text):
+        chan, state = tmp_path / "c.json", tmp_path / "s.json"
+        chan.write_text(channel_text)
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
+        assert "cannot bound amplifier" in capsys.readouterr().err
 
     @pytest.mark.parametrize("deep_file", ["c.json", "s.json"])
     def test_deeply_nested_json_exits_one(self, tmp_path, capsys, deep_file):
@@ -278,6 +309,11 @@ class TestVerifyCommand:
         assert run("verify", "--grid-extent", "1e300", "--grid-step", "1e-300",
                    "--out", tmp_path) == 1
         assert "dense budget" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert run("verify", "--seed", -1, "--out", tmp_path) == 1
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unknown_check_name_exits_one(self, tmp_path, capsys):

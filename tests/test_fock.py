@@ -258,11 +258,6 @@ class TestDensityValidation:
         with pytest.raises(ValidationError, match="eigenvalue"):
             fock.as_density(np.diag([1.5, -0.5]).astype(complex))
 
-    def test_hermitian_hint_enforced(self):
-        with pytest.raises(ValidationError):
-            fock.TruncatedOperator(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                   hermitian_hint=True)
-
 
 class TestRandomDensity:
     def test_rank_and_support(self):
@@ -307,7 +302,7 @@ class TestShapeTools:
     def test_crop_and_embed_accept_states(self):
         state = fock.fock_state(0, 40)
         cropped = fock.crop(state, 39)
-        assert cropped.dim == 39 and cropped.hermitian_hint
+        assert cropped.dim == 39 and cropped.label == state.label
         assert cropped.matrix[0, 0] == 1.0
         assert fock.embed(state, 41).dim == 41
 

@@ -1,5 +1,5 @@
-"""Property tests: the ladder claim, the route agreement, the CSV export
-and the JSON interchange forms.
+"""Property tests: the ladder claim, the route agreement, Hermiticity and
+trace under the channels, the CSV export and the JSON interchange forms.
 
 Hypothesis draws the operators, phase-space points and JSON payloads; the
 runs are derandomized and bounded, so every run tests the same examples.
@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiphase.channels import (apply, coherent_projection, smoothing_channel,
-                                 spec_from_json)
+from quasiphase.channels import (AdditiveNoise, Amplifier, Attenuator, apply,
+                                 coherent_projection, smoothing_channel, spec_from_json)
 from quasiphase.errors import QuasiphaseError
-from quasiphase.fock import (TruncatedOperator, as_density, operator_from_json,
-                             operator_to_json)
-from quasiphase.phasespace import (PhaseGrid, QuasiDistribution,
-                                   distribution_from_json, distribution_to_csv,
+from quasiphase.fock import (TruncatedOperator, as_density, hermiticity_defect,
+                             operator_from_json, operator_to_json)
+from quasiphase.phasespace import (PhaseGrid, QuasiDistribution, distribution_to_csv,
                                    q_at, w_at)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -65,6 +64,21 @@ def test_projection_route_matches_compose(x):
     assert np.max(np.abs(proj.matrix[:n, :n] - comp.matrix[:n, :n])) <= 1e-12 * scale
 
 
+channel_specs = st.one_of(
+    st.builds(Amplifier, st.floats(min_value=1.0, max_value=4.0)),
+    st.builds(Attenuator, st.floats(min_value=0.0, max_value=1.0)),
+    st.builds(AdditiveNoise, st.floats(min_value=0.0, max_value=3.0)),
+    st.just(smoothing_channel()))
+
+
+@PROPERTY
+@given(rho=densities(), spec=channel_specs)
+def test_apply_keeps_states_hermitian_with_unit_trace(rho, spec):
+    out = apply(spec, rho).matrix
+    assert hermiticity_defect(out) <= 1e-12 * max(1.0, float(np.max(np.abs(out))))
+    assert abs(np.trace(out) - 1.0) <= 1e-8
+
+
 @st.composite
 def distributions(draw) -> QuasiDistribution:
     """Up to 13 x 13 points with any centre and any finite values."""
@@ -106,8 +120,7 @@ def test_operator_json_round_trip_is_bit_exact(x, scale, label):
     assert back.label == label
 
 
-PARSERS = {"operator": operator_from_json, "channel": spec_from_json,
-           "distribution": distribution_from_json}
+PARSERS = {"operator": operator_from_json, "channel": spec_from_json}
 PARSE_EXAMPLES = settings(PROPERTY, max_examples=200)
 
 # JSON integers have no bound, so some lie beyond the float range
@@ -135,19 +148,11 @@ def shaped_payloads(draw, kind: str):
     if kind == "operator":
         return {"dim": draw(field), "re": draw(field), "im": draw(field),
                 "label": draw(json_values)}
-    if kind == "channel":
-        name = draw(st.sampled_from(["amplifier", "attenuator", "additive_noise",
-                                     "compose", "inverse"]))
-        return {"kind": name, "kappa": draw(field), "lambda": draw(field),
-                "noise": draw(field), "epsilon": draw(field),
-                "items": draw(json_values), "inner": draw(json_values)}
-    # grid fields over the whole float range, infinities and NaN included;
-    # the sizes mostly positive, so that extreme ratios reach the lattice
-    sizes = st.floats(min_value=0.0, exclude_min=True) | st.floats()
-    grid = {"center_re": draw(st.floats()), "center_im": draw(st.floats()),
-            "half_extent": draw(sizes), "spacing": draw(sizes)}
-    return {"grid": grid, "kind": draw(st.sampled_from(["P", "W", "Q", "X"])),
-            "values": draw(json_values), "source_label": draw(json_values)}
+    name = draw(st.sampled_from(["amplifier", "attenuator", "additive_noise",
+                                 "compose", "inverse"]))
+    return {"kind": name, "kappa": draw(field), "lambda": draw(field),
+            "noise": draw(field), "epsilon": draw(field),
+            "items": draw(json_values), "inner": draw(json_values)}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
