@@ -14,9 +14,11 @@ verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
 image positivity) on a seeded state battery and reports deviations against
 per-check tolerances.  Checks are pure functions of the config and run one
-after another; each battery state's smoothed image and its W samples are
-computed once and shared.  The suite always completes, converting per-check
-exceptions into failed entries rather than aborting.
+after another.  Each battery state's smoothed and double-smoothed images, W
+of the smoothed image on the half-step grid (whose exact centre is the suite
+grid) and the smoothed parity kernels are built once per call, on first use,
+and shared.  The suite always completes, converting per-check exceptions into
+failed entries rather than aborting.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -58,7 +60,7 @@ from .fock import (
     thermal_state,
     trace_distance,
 )
-from .phasespace import PhaseGrid, sample, weierstrass
+from .phasespace import PhaseGrid, _check_quadrature, sample, weierstrass
 
 __all__ = [
     "PSD_MARGIN_TOLERANCE",
@@ -301,7 +303,9 @@ def _grid_of(config: VerifyConfig) -> PhaseGrid:
 
 
 def _halfstep_grid(config: VerifyConfig) -> PhaseGrid:
-    return PhaseGrid(half_extent=config.grid_extent + 1.25, spacing=config.grid_step)
+    pad = np.ceil(1.25 / config.grid_step - 1e-9)  # whole steps: the suite grid nests
+    return PhaseGrid(half_extent=config.grid_extent + pad * config.grid_step,
+                     spacing=config.grid_step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,48 +318,30 @@ class _Ladder:
 
     rho: object
     grid: PhaseGrid
+    halfstep: PhaseGrid
 
     @cached_property
     def smoothed(self):
         return apply(smoothing_channel(), self.rho)
 
     @cached_property
+    def double_smoothed(self):
+        return coherent_projection(self.rho, route="compose")
+
+    @cached_property
+    def w_halfstep(self):
+        return sample(self.smoothed, "W", self.halfstep)
+
+    @cached_property
     def w_smoothed(self):
-        return sample(self.smoothed, "W", self.grid)
-
-
-def _check_husimi_equals_wigner_of_smoothed(config, ladders):
-    grid = _grid_of(config)
-    dev = 0.0
-    for rung in ladders:
-        q = sample(rung.rho, "Q", grid)
-        dev = max(dev, float(np.max(np.abs(q.values - rung.w_smoothed.values))))
-    return dev, None
-
-
-def _check_weierstrass_halfstep_matches_smoothed_wigner(config, ladders):
-    # The half-step Gaussian smoothing of W must land on W of the smoothed
-    # state.  Sampled on an enlarged grid so the convolution sees the full
-    # mass, compared away from the edge where the truncated kernel bites.
-    grid = _halfstep_grid(config)
-    mask = grid.interior_mask(2.0)
-    dev = 0.0
-    for rung in ladders:
-        lhs = weierstrass(sample(rung.rho, "W", grid), 0.5)
-        rhs = sample(rung.smoothed, "W", grid)
-        dev = max(dev, float(np.max(np.abs(lhs.values - rhs.values)[mask])))
-    return dev, None
-
-
-def _check_coherent_projection_route_agreement(config, ladders):
-    dev = 0.0
-    for rung in ladders:
-        outs = [coherent_projection(rung.rho, route=r)
-                for r in ("compose", "reversed", "projection")]
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                dev = max(dev, trace_distance(outs[i], outs[j]))
-    return dev, None
+        n, m = self.grid.points_per_axis, self.halfstep.points_per_axis
+        keep = slice((m - n) // 2, (m + n) // 2)
+        if not np.array_equal(self.halfstep.axis_offsets()[keep], self.grid.axis_offsets()):
+            return sample(self.smoothed, "W", self.grid)  # not the half-step grid's centre
+        w = replace(self.w_halfstep, grid=self.grid, values=self.w_halfstep.values[keep, keep])
+        # the image is a state: the cut must keep its mass, as sample checks
+        _check_quadrature(w.values, self.grid, "W", float(np.trace(self.smoothed.matrix).real))
+        return w
 
 
 _PARITY_POINTS = (0.0, 0.5 + 0.2j, 1.5)
@@ -368,21 +354,63 @@ def _smooth_cropped(op: TruncatedOperator, work: int) -> TruncatedOperator:
     return attenuator_apply(0.5, step)
 
 
-def _check_parity_smooths_to_coherent_state(config, ladders):
-    window, work = config.dim, 4 * config.dim
+@dataclass(frozen=True, eq=False)
+class _Shared:
+    """One verify_suite call's ladders (None without a battery) and parity rung."""
+
+    config: VerifyConfig
+    ladders: list | None
+
+    @cached_property
+    def parity_smoothed(self) -> tuple:
+        work = 4 * self.config.dim
+        return tuple(_smooth_cropped(displaced_parity(a, work), work) for a in _PARITY_POINTS)
+
+
+def _check_husimi_equals_wigner_of_smoothed(config, shared):
     dev = 0.0
-    for alpha in _PARITY_POINTS:
-        out = crop(_smooth_cropped(displaced_parity(alpha, work), work), window)
-        target = coherent_state(alpha, window)[0]
-        dev = max(dev, max(0.0, 1.0 - fidelity(out, target)))
+    for rung in shared.ladders:
+        q = sample(rung.rho, "Q", rung.grid)
+        dev = max(dev, float(np.max(np.abs(q.values - rung.w_smoothed.values))))
     return dev, None
 
 
-def _check_parity_double_smooth_gaussian_mixture(config, ladders):
+def _check_weierstrass_halfstep_matches_smoothed_wigner(config, shared):
+    # The half-step Gaussian smoothing of W must land on W of the smoothed
+    # state.  Sampled on an enlarged grid so the convolution sees the full
+    # mass, compared away from the edge where the truncated kernel bites.
+    grid = _halfstep_grid(config)
+    mask = grid.interior_mask(2.0)
+    dev = 0.0
+    for rung in shared.ladders:
+        lhs = weierstrass(sample(rung.rho, "W", grid), 0.5)
+        dev = max(dev, float(np.max(np.abs(lhs.values - rung.w_halfstep.values)[mask])))
+    return dev, None
+
+
+def _check_coherent_projection_route_agreement(config, shared):
+    dev = 0.0
+    for rung in shared.ladders:
+        outs = [rung.double_smoothed] + [coherent_projection(rung.rho, route=r)
+                                         for r in ("reversed", "projection")]
+        for i in range(len(outs)):
+            for j in range(i + 1, len(outs)):
+                dev = max(dev, trace_distance(outs[i], outs[j]))
+    return dev, None
+
+
+def _check_parity_smooths_to_coherent_state(config, shared):
+    dev = 0.0
+    for alpha, once in zip(_PARITY_POINTS, shared.parity_smoothed):
+        fid = fidelity(crop(once, config.dim), coherent_state(alpha, config.dim)[0])
+        dev = max(dev, max(0.0, 1.0 - fid))
+    return dev, None
+
+
+def _check_parity_double_smooth_gaussian_mixture(config, shared):
     window, work = config.dim, 4 * config.dim
     dev = 0.0
-    for alpha in _PARITY_POINTS:
-        once = _smooth_cropped(displaced_parity(alpha, work), work)
+    for alpha, once in zip(_PARITY_POINTS, shared.parity_smoothed):
         out = crop(_smooth_cropped(crop(once, work), work), window)
         d = displacement_matrix(alpha, window).matrix
         target = d @ thermal_state(0.5, window).matrix @ d.conj().T
@@ -390,12 +418,12 @@ def _check_parity_double_smooth_gaussian_mixture(config, ladders):
     return dev, None
 
 
-def _check_amplified_vacuum_is_thermal(config, ladders):
+def _check_amplified_vacuum_is_thermal(config, shared):
     out = amplifier_apply(2.0, fock_state(0, config.dim))
     return trace_distance(out, thermal_state(1.0, out.dim)), None
 
 
-def _check_amplified_parity_is_half_vacuum(config, ladders):
+def _check_amplified_parity_is_half_vacuum(config, shared):
     dim = config.dim
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     parity = TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity")
@@ -407,9 +435,9 @@ def _check_amplified_parity_is_half_vacuum(config, ladders):
     return trace_distance(out, TruncatedOperator(target)), None
 
 
-def _check_photon_number_laws(config, ladders):
+def _check_photon_number_laws(config, shared):
     att_scaling = att_affine = smooth_half = smooth_unit = amp_law = 0.0
-    for rung in ladders:
+    for rung in shared.ladders:
         n_in = mean_photon(rung.rho)
         amp = mean_photon(amplifier_apply(2.0, rung.rho))
         att = mean_photon(attenuator_apply(0.5, rung.rho))
@@ -433,19 +461,18 @@ def _check_photon_number_laws(config, ladders):
     return dev, discrepancies
 
 
-def _check_smoothed_image_wigner_positive(config, ladders):
+def _check_smoothed_image_wigner_positive(config, shared):
     dev = 0.0
-    for rung in ladders:
+    for rung in shared.ladders:
         values = rung.w_smoothed.values
         dev = max(dev, max(0.0, -float(values.min())))
     return dev, None
 
 
-def _check_double_smoothed_image_wigner_positive(config, ladders):
-    grid = _grid_of(config)
+def _check_double_smoothed_image_wigner_positive(config, shared):
     dev = 0.0
-    for rung in ladders:
-        values = sample(apply(smoothing_channel(), rung.smoothed), "W", grid).values
+    for rung in shared.ladders:
+        values = sample(rung.double_smoothed, "W", rung.grid).values
         dev = max(dev, max(0.0, -float(values.min())))
     return dev, None
 
@@ -481,7 +508,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
 
     A check that raises is recorded as failed with the error message in its
     note; the suite itself always completes.  Checks run in order in the
-    calling thread and share one lazily built `_Ladder` per battery state.
+    calling thread and share one lazily built `_Shared` for this call.
     Results are deterministic for a fixed config: the battery is seeded and
     no check consults global state.
     """
@@ -492,11 +519,12 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     ladders, battery_note = None, ""
     if any(needs for _, _, needs, _ in selected):
         try:
-            grid = _grid_of(config)
-            ladders = [_Ladder(rho, grid)
+            grids = _grid_of(config), _halfstep_grid(config)
+            ladders = [_Ladder(rho, *grids)
                        for rho in default_battery(config.dim, config.seed)]
         except QuasiphaseError as err:
             battery_note = f"battery construction failed: {err}"
+    shared = _Shared(config, ladders)
 
     checks = []
     discrepancies: dict = {}
@@ -507,7 +535,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
             deviation, note = math.inf, battery_note
         else:
             try:
-                deviation, extra = runner(config, ladders)
+                deviation, extra = runner(config, shared)
                 note = ""
                 discrepancies.update(extra or {})
             except QuasiphaseError as err:

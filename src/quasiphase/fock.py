@@ -238,6 +238,8 @@ def coherent_state(
     """Coherent-state projector |alpha><alpha| and its truncation report."""
     dim = _check_dim(dim)
     alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValidationError(f"coherent amplitude alpha must be finite, got {alpha}")
     tail = coherent_tail(alpha, dim)
     if tail > tail_tolerance:
         need = _required_dim(lambda n: coherent_tail(alpha, n), tail_tolerance,
@@ -263,8 +265,8 @@ def thermal_state(
     """Thermal state with mean photon number `nbar`; geometric number law."""
     dim = _check_dim(dim)
     nbar = float(nbar)
-    if nbar < 0.0:
-        raise ValidationError(f"thermal mean photon number must be >= 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise ValidationError(f"thermal nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
         return fock_state(0, dim)
     q = nbar / (nbar + 1.0)

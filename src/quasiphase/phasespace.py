@@ -99,7 +99,11 @@ class PhaseGrid:
         return int(math.floor(2.0 * self.half_extent / self.spacing + 1e-9)) + 1
 
     def axis_offsets(self) -> np.ndarray:
-        return np.arange(self.points_per_axis) * self.spacing - self.half_extent
+        n = self.points_per_axis
+        if abs(2.0 * self.half_extent / self.spacing - (n - 1)) <= 1e-9:
+            # (j - (n-1)/2) h: exactly antisymmetric, and nested lattices share points
+            return (np.arange(n) - 0.5 * (n - 1)) * self.spacing
+        return np.arange(n) * self.spacing - self.half_extent
 
     def alphas(self) -> np.ndarray:
         """Complex lattice, axis 0 along Re, axis 1 along Im."""
@@ -321,10 +325,11 @@ def _harmonic_fold(mat: np.ndarray, points, kind: str) -> np.ndarray:
     acc = np.zeros((2, flat.size), dtype=np.complex128)
     gathered = np.empty(flat.size, dtype=np.complex128)
     for e, sums in _radial_sums(mat, y, kind):
-        acc *= step
         if sums is not None:
             for half in (0, 1) if e else (0,):  # L_0 is S_0 again
                 acc[half] += np.take(sums[half], inv, out=gathered)
+        if e:
+            acc *= step
     return (acc[0] + acc[1]).reshape(points.shape)
 
 
@@ -385,14 +390,17 @@ def sample(x, kind: str, grid: PhaseGrid,
             if lo < -1e-10 or hi > 1.0 + 1e-10:
                 raise ValidationError(
                     f"Husimi samples outside [0, 1]: min {lo:.3e}, max {hi:.3e}")
-        total = float(values.sum() * grid.spacing**2 / math.pi)
-        target = float(np.trace(mat).real)
-        if abs(total - target) > GRID_TOLERANCE:
-            raise GridTooSmallError(
-                f"grid quadrature of {kind} gives {total:.6g}, trace is "
-                f"{target:.6g}; enlarge or refine the grid",
-                boundary_value=abs(total - target), tolerance=GRID_TOLERANCE)
+        _check_quadrature(values, grid, kind, float(np.trace(mat).real))
     return QuasiDistribution(grid=grid, kind=kind, values=values, source_label=op.label)
+
+
+def _check_quadrature(values: np.ndarray, grid: PhaseGrid, kind: str, target: float):
+    total = float(values.sum() * grid.spacing**2 / math.pi)
+    if abs(total - target) > GRID_TOLERANCE:
+        raise GridTooSmallError(
+            f"grid quadrature of {kind} gives {total:.6g}, trace is "
+            f"{target:.6g}; enlarge or refine the grid",
+            boundary_value=abs(total - target), tolerance=GRID_TOLERANCE)
 
 
 _SMOOTHED_KIND = {("P", 0.5): "W", ("W", 0.5): "Q", ("P", 1.0): "Q"}

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from quasiphase import analysis
 from quasiphase.analysis import (
     CHECK_NAMES,
-    ClassicalityReport,
     VerifyConfig,
     classicality_check,
     classicality_report_to_json,
@@ -24,7 +23,7 @@ from quasiphase.analysis import (
     verify_suite,
 )
 from quasiphase.channels import apply, smoothing_channel
-from quasiphase.errors import BudgetError, ValidationError
+from quasiphase.errors import BudgetError, GridTooSmallError, ValidationError
 from quasiphase.fock import (
     TruncatedOperator,
     coherent_state,
@@ -33,6 +32,7 @@ from quasiphase.fock import (
     random_density,
     thermal_state,
 )
+from quasiphase.phasespace import integrate
 
 
 def smoothed(rho):
@@ -267,13 +267,45 @@ class TestVerifySuite:
         assert a.discrepancies["amplifier_law_max_residual"] == \
             b.discrepancies["amplifier_law_max_residual"]
 
+    @pytest.mark.parametrize("kwargs", [{}, REDUCED])
+    def test_suite_grid_is_the_halfstep_grid_centre(self, kwargs):
+        config = VerifyConfig(**kwargs)
+        big = analysis._halfstep_grid(config)
+        pad = round((big.half_extent - config.grid_extent) / config.grid_step)
+        assert pad == {0.05: 25, 0.1: 13}[config.grid_step]
+        n = analysis._grid_of(config).points_per_axis
+        centre = big.alphas()[pad:pad + n, pad:pad + n]
+        assert np.array_equal(centre, analysis._grid_of(config).alphas())
+
+    def test_sliced_wigner_keeps_the_quadrature_check(self):
+        # W of the smoothed vacuum, exp(-|a|^2), keeps its mass on the
+        # half-step grid (R = 2.75) but loses 7% of it on the suite grid.
+        config = VerifyConfig(dim=20, grid_extent=1.5, grid_step=0.05)
+        rung = analysis._Ladder(fock_state(0, 20), analysis._grid_of(config),
+                                analysis._halfstep_grid(config))
+        assert integrate(rung.w_halfstep) == pytest.approx(1.0, abs=1e-3)
+        with pytest.raises(GridTooSmallError):
+            rung.w_smoothed
+
+    def test_off_lattice_suite_grid_is_sampled(self):
+        # 2R/h = 42.86: the suite grid's offsets j h - R are not among the
+        # half-step grid's, so its W is sampled rather than sliced.
+        config = VerifyConfig(dim=20, grid_extent=3.0, grid_step=0.14)
+        grid = analysis._grid_of(config)
+        rung = analysis._Ladder(fock_state(1, 20), grid, analysis._halfstep_grid(config))
+        direct = analysis.sample(rung.smoothed, "W", grid)
+        assert np.array_equal(rung.w_smoothed.values, direct.values)
+
     @pytest.mark.parametrize("only", [None, ("smoothed_image_wigner_positive",)])
     def test_smoothed_ladder_built_once_per_state(self, monkeypatch, only):
-        # Each battery state is smoothed once, and W of its image is sampled
-        # once on the suite grid, however many checks read them.
-        batteries, applied, sampled = [], [], []
+        # Each battery state is smoothed once and double-smoothed once, W of
+        # each image is sampled once over both grids, and each parity point's
+        # smoothed parity is built once, however many checks read them.
+        batteries, applied, projected, sampled, parities = [], [], [], [], []
         original_battery = analysis.default_battery
         original_apply, original_sample = analysis.apply, analysis.sample
+        original_projection = analysis.coherent_projection
+        original_parity = analysis.displaced_parity
 
         def battery(*args):
             batteries.append(original_battery(*args))
@@ -284,26 +316,43 @@ class TestVerifySuite:
             applied.append((spec, x, out))
             return out
 
+        def counting_projection(x, route="compose"):
+            out = original_projection(x, route=route)
+            projected.append((x, route, out))
+            return out
+
         def counting_sample(x, kind, grid, *args, **kwargs):
             sampled.append((x, kind, grid))
             return original_sample(x, kind, grid, *args, **kwargs)
 
+        def counting_parity(alpha, dim):
+            parities.append((alpha, dim))
+            return original_parity(alpha, dim)
+
         monkeypatch.setattr(analysis, "default_battery", battery)
         monkeypatch.setattr(analysis, "apply", counting_apply)
+        monkeypatch.setattr(analysis, "coherent_projection", counting_projection)
         monkeypatch.setattr(analysis, "sample", counting_sample)
+        monkeypatch.setattr(analysis, "displaced_parity", counting_parity)
         config = VerifyConfig(only=only, **REDUCED)
         assert verify_suite(config).passed
 
+        def w_samples_of(image):
+            return sum(1 for x, kind, _ in sampled if kind == "W" and x is image)
+
         (states,) = batteries
-        suite_grid = analysis.PhaseGrid(half_extent=config.grid_extent,
-                                        spacing=config.grid_step)
+        double = 1 if only is None else 0
         for rho in states:
-            images = [out for spec, x, out in applied
-                      if x is rho and spec == smoothing_channel()]
-            w_samples = [x for x, kind, grid in sampled
-                         if kind == "W" and grid == suite_grid
-                         and any(x is image for image in images)]
-            assert (len(images), len(w_samples)) == (1, 1)
+            (image,) = [out for spec, x, out in applied
+                        if x is rho and spec == smoothing_channel()]
+            assert not [x for spec, x, _ in applied if x is image]
+            doubles = [out for x, route, out in projected
+                       if x is rho and route == "compose"]
+            assert len(doubles) == double
+            assert w_samples_of(image) == 1
+            assert [w_samples_of(d) for d in doubles] == [1] * double
+        work = [alpha for alpha, dim in parities if dim == 4 * config.dim]
+        assert work == (list(analysis._PARITY_POINTS) if only is None else [])
 
 
 class TestReportSerialization:

@@ -23,7 +23,6 @@ from quasiphase.channels import (
     Attenuator,
     Compose,
     Inverse,
-    additive_noise_expansion,
     amplifier_apply,
     amplifier_dilated,
     apply,

@@ -1,7 +1,6 @@
 """End-to-end command-line checks driven through main()."""
 
 import json
-import math
 import os
 import tracemalloc
 
@@ -109,6 +108,17 @@ class TestStateCommand:
             tracemalloc.stop()
         assert peak < 1 << 24
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec,name", [
+        ("thermal:nan", "nbar"), ("thermal:inf", "nbar"),
+        ("coherent:nan,0", "alpha"), ("coherent:0,nan", "alpha"),
+    ])
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, spec, name):
+        out = tmp_path / "x.json"
+        assert run("state", spec, "--dim", 32, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err
         assert not out.exists()
 
     def test_usage_error_exits_two(self, tmp_path):
@@ -304,6 +314,12 @@ class TestVerifyCommand:
         assert run("verify", "--dim", 100_000, "--out", tmp_path) == 1
         assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
+
+    def test_subnormal_step_exits_one(self, tmp_path, capsys):
+        # 1.25 / step overflows to inf when the half-step grid is padded
+        assert run("verify", "--grid-extent", "1e-323", "--grid-step", "5e-324",
+                   "--out", tmp_path) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_overflowing_grid_exits_one(self, tmp_path, capsys):
         assert run("verify", "--grid-extent", "1e300", "--grid-step", "1e-300",

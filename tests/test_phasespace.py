@@ -39,6 +39,12 @@ class TestPhaseGrid:
         assert grid.points_per_axis == 7
         assert grid.axis_offsets()[-1] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("extent,step", [(5.0, 0.05), (6.25, 0.05), (5.0, 0.1)])
+    def test_centred_offsets_are_antisymmetric(self, extent, step):
+        # R/h = 100, 125 and 50: the offsets are whole steps either side of 0
+        off = ps.PhaseGrid(half_extent=extent, spacing=step).axis_offsets()
+        assert np.array_equal(off, -off[::-1])
+
     def test_lattice_layout(self):
         grid = ps.PhaseGrid(center=1 + 2j, half_extent=1.0, spacing=0.5)
         al = grid.alphas()
