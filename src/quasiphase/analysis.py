@@ -330,18 +330,29 @@ class _Ladder:
 
     @cached_property
     def w_halfstep(self):
-        return sample(self.smoothed, "W", self.halfstep)
+        return _image_wigner(self.smoothed, self.halfstep)
 
     @cached_property
     def w_smoothed(self):
         n, m = self.grid.points_per_axis, self.halfstep.points_per_axis
         keep = slice((m - n) // 2, (m + n) // 2)
         if not np.array_equal(self.halfstep.axis_offsets()[keep], self.grid.axis_offsets()):
-            return sample(self.smoothed, "W", self.grid)  # not the half-step grid's centre
+            return _image_wigner(self.smoothed, self.grid)  # not the half-step grid's centre
         w = replace(self.w_halfstep, grid=self.grid, values=self.w_halfstep.values[keep, keep])
         # the image is a state: the cut must keep its mass, as sample checks
         _check_quadrature(w.values, self.grid, "W", float(np.trace(self.smoothed.matrix).real))
         return w
+
+
+def _image_wigner(image: TruncatedOperator, grid: PhaseGrid):
+    """W of a channel image, held to the quadrature check `sample` gives a state.
+
+    `apply` returns a TruncatedOperator, so `sample` cannot know the image
+    is a state; the grid must still keep the image's whole trace.
+    """
+    w = sample(image, "W", grid)
+    _check_quadrature(w.values, grid, "W", float(np.trace(image.matrix).real))
+    return w
 
 
 _PARITY_POINTS = (0.0, 0.5 + 0.2j, 1.5)
@@ -472,7 +483,7 @@ def _check_smoothed_image_wigner_positive(config, shared):
 def _check_double_smoothed_image_wigner_positive(config, shared):
     dev = 0.0
     for rung in shared.ladders:
-        values = sample(rung.double_smoothed, "W", rung.grid).values
+        values = _image_wigner(rung.double_smoothed, rung.grid).values
         dev = max(dev, max(0.0, -float(values.min())))
     return dev, None
 

@@ -9,10 +9,14 @@ composition is the canonical smoothing channel returned by
 Each channel has two independent realizations that the test suite plays
 against each other:
 
-* a closed-form number-basis shell kernel (`amplifier_apply`,
-  `attenuator_apply`): each Kraus operator is a weighted shift, and one
-  shell table per atom (`_kraus_shells`) holds the weights, each the
-  square root of a probability so none can overflow;
+* a closed-form number-basis kernel (`amplifier_apply`,
+  `attenuator_apply`): each Kraus operator is a weighted shift.  One shell
+  table per atom (`_kraus_shells`) holds the weights, each the square root
+  of a probability so none can overflow.  The kernels take them in
+  factorised form (`_toeplitz_factors`): on each diagonal a shell's weight
+  product is a row factor times a Toeplitz factor B[j] times a column
+  factor, so one real GEMM per tile of levels applies every shell to every
+  diagonal at once (`_toeplitz_apply`);
 * a physical dilation (`amplifier_dilated`, `attenuator_dilated`): a
   two-mode squeezer/beamsplitter acting on a vacuum ancilla, exponentiated
   on the conserved chain of each input level |m,0>, with the ancilla
@@ -27,9 +31,12 @@ too when population reaches a chain its system register cuts.
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
 one small real transfer block per offset e (`superoperator_of`), gathered
-from the same shell table, and the regularized inverse (`inverse_apply`)
+from the shell table itself, and the regularized inverse (`inverse_apply`)
 filters each diagonal through its block's SVD.  The blocks and their SVDs
-are cached per (spec, dim): O(dim^3) reals, shared by every epsilon.
+are cached per (spec, dim): O(dim^3) reals, shared by every epsilon.  The
+blocks keep reading the shell table rather than the factorised kernel, so
+the inverse's bits, and the rounding-sensitive classicality verdicts
+built on them, do not move with the kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from scipy.special import digamma, gammaln, roots_laguerre
 
 from .errors import (
     AncillaTailError,
@@ -189,10 +197,11 @@ def _spec_payload(spec: ChannelSpec) -> dict:
     raise ValidationError(f"not a channel spec: {spec!r}")
 
 
-def spec_from_json(text: str) -> ChannelSpec:
+def spec_from_json(text: str | bytes) -> ChannelSpec:
+    """Parse the form spec_to_json writes, from text or bytes."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"channel JSON is malformed: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("channel JSON is nested too deeply") from exc
@@ -300,33 +309,146 @@ def _kraus_shells(atom, dim_in: int, dim_out: int) -> list:
     return [(j, 0, g[j, :min(dim_in, dim_out - j)]) for j in range(dim_out)]
 
 
-def _shell_sum(shells, mat: np.ndarray, dim_out: int,
-               tail_from: float = math.inf) -> np.ndarray:
-    """sum_K K mat K^dag over weighted-shift shells.
+_TILE = 128  # output and input levels per GEMM tile
 
-    Past shell `tail_from`, the first shell whose contribution falls below
-    1e-16 of the input scale ends the sum.
+
+def _toeplitz_factors(atom, dim_in: int, dim_out: int) -> tuple:
+    """log B[j], log c[q], log a[p] and the direction of one atom's kernel.
+
+    On diagonal e, shell j's weight product factorises as
+    w_j(i) w_j(i+e) = a[p] a[p+e] B[j] c[q] c[q+e] with input level q and
+    output level p: the amplifier moves q up to p = q + j, so a[p] =
+    sqrt(p!), B[j] = ((kappa-1)/kappa)^j / (kappa j!) and c[q] =
+    kappa^(-q/2) / sqrt(q!); the attenuator moves q down to p = q - j, so
+    a[p] = lam^(p/2) / sqrt(p!), B[j] = (1-lam)^j / j! and c[q] = sqrt(q!).
+    Returns (log_b, log_c, log_a, rising), rising meaning p >= q.
     """
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    out = np.zeros((dim_out, dim_out), dtype=np.complex128)
-    for j, (row, col, w) in enumerate(shells):
-        n = w.size
-        block = np.outer(w, w) * mat[col:col + n, col:col + n]
-        out[row:row + n, row:row + n] += block
-        if j > tail_from and float(np.max(np.abs(block))) < 1e-16 * scale:
-            break
-    return out
+    half_fact = 0.5 * gammaln(np.arange(max(dim_in, dim_out)) + 1.0)
+    j = np.arange(max(dim_in, dim_out), dtype=np.float64)
+    if isinstance(atom, Amplifier):
+        kappa = atom.kappa
+        log_b = j * math.log((kappa - 1.0) / kappa) - 2.0 * half_fact - math.log(kappa)
+        log_c = -0.5 * math.log(kappa) * j[:dim_in] - half_fact[:dim_in]
+        return log_b, log_c, half_fact[:dim_out], True
+    lam = atom.transmissivity
+    log_b = j * math.log(1.0 - lam) - 2.0 * half_fact
+    log_a = 0.5 * math.log(lam) * j[:dim_out] - half_fact[:dim_out]
+    return log_b, half_fact[:dim_in], log_a, False
+
+
+def _toeplitz_apply(mat: np.ndarray, dim_out: int, log_b: np.ndarray,
+                    log_c: np.ndarray, log_a: np.ndarray,
+                    rising: bool) -> np.ndarray:
+    """out[p, p+e] = sum_q a[p] a[p+e] B[|p-q|] c[q] c[q+e] mat[q, q+e].
+
+    q runs up to p when `rising` and from p on otherwise; the factors come
+    from `_toeplitz_factors`.  Diagonal e of mat and of its transpose are
+    columns of one skewed array, so the offsets +e and -e share every
+    weight (a Hermitian input stays exactly Hermitian) and each tile of
+    at most _TILE output x _TILE input levels is one real GEMM: the shared
+    Toeplitz block B[|p-q|] against the float view of the diagonals
+    scaled by c, with the rows then scaled by a.  The factorials overflow,
+    so each tile takes its own slope tau: B gains e^(tau j), c c e^(+-tau q)
+    and a a e^(-+tau p), which leaves every product unchanged.  tau is the
+    slope of the factorial factor at the tile's centre, and the tile's
+    maxima of B and of each offset's c c move into a a, so B <= 1 and
+    c c <= 1; a factor then underflows only where the weight it carries
+    is far below any representable contribution.
+    """
+    n = mat.shape[0]
+    sign = 1 if rising else -1
+    rows = min(_TILE, max(n, dim_out))  # levels per tile side
+    spare = min(rows, n, dim_out) - 1
+    # the skewed input, the output with its spare rows and the tile buffers
+    _check_dense_budget(32 * n * (n + 1) + 16 * dim_out * (dim_out + spare) + 80 * rows * n,
+                        f"the channel kernel from {n} to {dim_out} levels")
+    # skew[q, 0, e] = mat[q, q+e] and skew[q, 1, e] = mat[q+e, q]; offsets
+    # past the edge read the padding or wrap, and a zero c or a cancels them
+    src = np.zeros((2, n * n + n), dtype=np.complex128)
+    src[0, :n * n] = mat.ravel()
+    src[1, :n * n].reshape(n, n)[...] = mat.T
+    skew_in = [as_strided(half, (n, n), (16 * (n + 1), 16), writeable=False)
+               for half in src]
+    # offsets past the last level land below the diagonal or in the spare
+    # rows, and a zero a writes nothing there
+    out = np.zeros((dim_out + spare, dim_out), dtype=np.complex128)
+    flat = out.reshape(-1)
+    diagonal, across = 16 * (dim_out + 1), (16, 16 * dim_out)  # out[p, p+e], out[p+e, p]
+    # hank[q, e] = log[q + e], -inf past the last level
+    pad_c = np.concatenate([log_c, np.full(n, -np.inf)])
+    hank_c = as_strided(pad_c, (n, n), (8, 8), writeable=False)
+    pad_a = np.concatenate([log_a, np.full(n, -np.inf)])
+    hank_a = as_strided(pad_a, (dim_out, n), (8, 8), writeable=False)
+    buf_c = np.empty(rows * n)
+    buf_a = np.empty(rows * n)
+    buf_z = np.empty(2 * rows * n, dtype=np.complex128)
+    buf_r = np.empty(4 * rows * n)
+    for p0 in range(0, dim_out, rows):
+        p1 = min(dim_out, p0 + rows)
+        for q0 in range(0, n, rows):
+            q1 = min(n, q0 + rows)
+            if (q0 >= p1) if rising else (q1 <= p0):
+                continue  # the Toeplitz block is zero
+            # tau on a 2^-20 grid keeps every tau * level product exact
+            centre = 0.5 * ((p0 + p1 - 1) if rising else (q0 + q1 - 1))
+            tau = round(float(digamma(centre + 1.0)) * 2.0**20) / 2.0**20
+            mp, mq = p1 - p0, q1 - q0
+            j = np.arange(mp + mq - 1) + ((p0 - q1 + 1) if rising else (q0 - p1 + 1))
+            lb = np.where(j >= 0, log_b[np.abs(j)] + tau * j, -np.inf)
+            beta_b = float(lb.max())
+            windows = sliding_window_view(np.exp(lb - beta_b), mq)
+            toeplitz = windows[:, ::-1] if rising else windows[::-1]  # B[|p-q|]
+            cols = min(n - q0, dim_out - p0)  # offsets with levels on both sides
+            cc = buf_c[:mq * cols].reshape(mq, cols)
+            np.add(hank_c[q0:q1, :cols],
+                   (log_c[q0:q1] + sign * tau * np.arange(q0, q1))[:, None], out=cc)
+            beta_c = cc.max(axis=0)
+            cc -= beta_c
+            np.exp(cc, out=cc)
+            z = buf_z[:mq * 2 * cols].reshape(mq, 2, cols)
+            for half in range(2):
+                np.multiply(skew_in[half][q0:q1, :cols], cc, out=z[:, half])
+            r = buf_r[:mp * 4 * cols].reshape(mp, 4 * cols)
+            np.matmul(toeplitz, z.reshape(mq, 2 * cols).view(np.float64), out=r)
+            aa = buf_a[:mp * cols].reshape(mp, cols)
+            np.add(hank_a[p0:p1, :cols],
+                   (log_a[p0:p1] - sign * tau * np.arange(p0, p1) + beta_b)[:, None], out=aa)
+            aa += beta_c
+            np.exp(aa, out=aa)
+            scaled = r.view(np.complex128).reshape(mp, 2, cols)
+            scaled *= aa[:, None, :]
+            for half, step in enumerate(across):
+                skew = as_strided(flat[p0 * (dim_out + 1):], (mp, cols), (diagonal, step))[:, half:]
+                np.add(skew, scaled[:, half, half:], out=skew)  # the diagonal once
+    return out[:dim_out]
+
+
+def _atom_kernel(atom, mat: np.ndarray, dim_out: int) -> np.ndarray:
+    """One atom's closed-form action on mat, with dim_out output levels."""
+    n = min(mat.shape[0], dim_out)  # an amplifier never moves a level down
+    if atom in (Amplifier(1.0), Attenuator(1.0)):
+        out = np.zeros((dim_out, dim_out), dtype=np.complex128)
+        out[:n, :n] = mat[:n, :n]
+        return out
+    if atom == Attenuator(0.0):
+        out = np.zeros((dim_out, dim_out), dtype=np.complex128)
+        out[0, 0] = np.trace(mat)
+        return out
+    return _toeplitz_apply(mat[:n, :n], dim_out, *_toeplitz_factors(atom, n, dim_out))
 
 
 def amplifier_apply(kappa: float, x, dim_out: int | None = None,
                     trace_tolerance: float = 1e-8) -> TruncatedOperator:
-    """Closed-form amplifier action, shell by shell.
+    """Closed-form amplifier action, as a few real GEMMs.
 
-    Output entries live on shifted diagonals (j+m, j+n); each shell is a
-    rank-separable weight on the input block.  The default output dim pads
-    the kappa-fold image of the live block until the geometric shell factor
-    is negligible.  PSD inputs that still lose more than `trace_tolerance`
-    trace raise TraceLeakError naming the deficit.
+    Shell j moves <m|X|n> to <m+j|.|n+j> with weight w_j(m) w_j(n).  On
+    output diagonal e that weight is sqrt(p! (p+e)!) B[p-q] c[q] c[q+e],
+    B[j] = ((kappa-1)/kappa)^j / (kappa j!) and c[q] = kappa^(-q/2) /
+    sqrt(q!), so the lower-triangular Toeplitz B contracts every input
+    diagonal at once, in balanced tiles (`_toeplitz_apply`).  The default
+    output dim pads the kappa-fold image of the live block until the
+    geometric shell factor is negligible.  PSD inputs that still lose more
+    than `trace_tolerance` trace raise TraceLeakError naming the deficit.
     """
     spec = Amplifier(kappa)
     kappa = spec.kappa
@@ -339,10 +461,7 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
         raise ValidationError(f"dim_out must be positive, got {dim_out}")
     _check_dense_budget(16 * dim_out * dim_out,
                         f"amplifier({kappa}) output of {dim_out} levels")
-    # Shell weights peak near j = (kappa-1)(m+1); only the tail past that
-    # mode may end the sum early.
-    out = _shell_sum(_kraus_shells(spec, dim_in, dim_out), mat, dim_out,
-                     tail_from=(kappa - 1.0) * (dim_in + 1.0))
+    out = _atom_kernel(spec, mat, dim_out)
     if trace_tolerance is not None and _looks_psd(mat):
         deficit = abs(np.trace(out).real - np.trace(mat).real)
         if deficit > trace_tolerance * max(1.0, abs(np.trace(mat).real)):
@@ -353,17 +472,21 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
 
 
 def attenuator_apply(lam: float, x) -> TruncatedOperator:
-    """Closed-form attenuator action; dimension is preserved.
+    """Closed-form attenuator action, as a few real GEMMs; dim is preserved.
 
     Shell j moves the (j-deep) sub-block down by j levels with weights
     binom(p+j, j) lam^p (1-lam)^j under the square root; all exact, so
     completeness holds to machine precision at every represented level.
+    On diagonal e the weight product is lam^(p+e/2) / sqrt(p! (p+e)!)
+    B[q-p] sqrt(q! (q+e)!), B[j] = (1-lam)^j / j!, so the upper-triangular
+    Toeplitz B contracts every input diagonal at once, in balanced tiles
+    (`_toeplitz_apply`).
     """
     spec = Attenuator(lam)
     op = _as_operator(x)
     mat = op.matrix
     dim = mat.shape[0]
-    out = _shell_sum(_kraus_shells(spec, dim, dim), mat, dim)
+    out = _atom_kernel(spec, mat, dim)
     return TruncatedOperator(out, label=f"attenuator({spec.transmissivity})[{op.label}]")
 
 

@@ -23,7 +23,7 @@ from .analysis import (
     verify_suite,
 )
 from .channels import apply, channel_diagnostics, spec_from_json
-from .errors import QuasiphaseError, SpecParseError
+from .errors import QuasiphaseError, SpecParseError, ValidationError
 from .fock import (
     coherent_state,
     displaced_parity,
@@ -49,8 +49,11 @@ STATE_FORMS = ("vacuum", "fock:n", "coherent:re,im", "thermal:nbar",
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_atomic(path: str, text: str) -> None:

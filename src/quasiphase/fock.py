@@ -45,7 +45,6 @@ __all__ = [
     "coherent_state",
     "displacement_matrix",
     "displacement_pad",
-    "unitarity_defect",
     "thermal_state",
     "displaced_parity",
     "random_density",
@@ -56,7 +55,6 @@ __all__ = [
     "embed",
     "crop",
     "trim_dim",
-    "trimmed",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -325,8 +323,7 @@ def _displacement_rows(beta: complex, work_dim: int, rows: int) -> np.ndarray:
 def displacement_matrix(beta: complex, dim: int) -> TruncatedOperator:
     """Displacement operator block, synthesized padded and cropped to `dim`.
 
-    The padded exponential keeps the retained block accurate; check the
-    result with `unitarity_defect` if the use is sensitive.
+    The padded exponential keeps the retained block accurate.
     """
     dim = _check_dim(dim)
     beta = complex(beta)
@@ -334,13 +331,6 @@ def displacement_matrix(beta: complex, dim: int) -> TruncatedOperator:
     rows = _displacement_rows(beta, work, dim)
     return TruncatedOperator(np.ascontiguousarray(rows[:, :dim]),
                              label=f"displacement({beta})")
-
-
-def unitarity_defect(op: TruncatedOperator, fraction: float = 0.75) -> float:
-    """Max |(U^dag U - I)| over the low `fraction` block of a cropped unitary."""
-    k = max(1, int(math.floor(op.dim * fraction)))
-    g = op.matrix.conj().T @ op.matrix
-    return float(np.max(np.abs(g[:k, :k] - np.eye(k))))
 
 
 def displaced_parity(alpha: complex, dim: int) -> TruncatedOperator:
@@ -475,11 +465,6 @@ def trim_dim(x, tol: float = 1e-14) -> int:
     return int(live[-1]) + 1 if live.size else 1
 
 
-def trimmed(op: TruncatedOperator, tol: float = 1e-14) -> TruncatedOperator:
-    """Crop an operator to its numerically live block."""
-    return crop(op, trim_dim(op, tol))
-
-
 def operator_to_json(op: TruncatedOperator) -> str:
     """Serialize to the interchange form {dim, re, im, label}.
 
@@ -525,11 +510,11 @@ def _check_dense_budget(nbytes: int, what: str) -> None:
             required_bytes=nbytes, budget_bytes=DENSE_BUDGET_BYTES)
 
 
-def operator_from_json(text: str) -> TruncatedOperator:
-    """Parse the interchange form produced by operator_to_json."""
+def operator_from_json(text: str | bytes) -> TruncatedOperator:
+    """Parse the interchange form produced by operator_to_json, from text or bytes."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"operator JSON is malformed: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("operator JSON is nested too deeply") from exc

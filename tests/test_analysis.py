@@ -287,6 +287,24 @@ class TestVerifySuite:
         with pytest.raises(GridTooSmallError):
             rung.w_smoothed
 
+    def test_double_smoothed_wigner_keeps_the_quadrature_check(self):
+        # At R = 4.5 the W of a double-smoothed battery image loses 2.0e-3
+        # of its trace, twice GRID_TOLERANCE.
+        report = verify_suite(VerifyConfig(
+            dim=40, grid_extent=4.5, only=("double_smoothed_image_wigner_positive",)))
+        (check,) = report.checks
+        assert not check.passed
+        assert check.note.startswith("GridTooSmallError")
+
+    def test_halfstep_wigner_keeps_the_quadrature_check(self):
+        # The half-step grid of R = 0.5, h = 0.25 reaches 1.75: its
+        # quadrature of W of the smoothed vacuum, exp(-|a|^2), gives 0.985.
+        config = VerifyConfig(dim=20, grid_extent=0.5, grid_step=0.25)
+        rung = analysis._Ladder(fock_state(0, 20), analysis._grid_of(config),
+                                analysis._halfstep_grid(config))
+        with pytest.raises(GridTooSmallError):
+            rung.w_halfstep
+
     def test_off_lattice_suite_grid_is_sampled(self):
         # 2R/h = 42.86: the suite grid's offsets j h - R are not among the
         # half-step grid's, so its W is sampled rather than sliced.

@@ -286,6 +286,90 @@ class TestAttenuatorKernel:
             assert mean_photon(out) == pytest.approx(lam * mean_photon(state), abs=1e-9)
 
 
+def kraus_sum(atom, x: np.ndarray, dim_out: int) -> np.ndarray:
+    """sum_j K_j X K_j^dag in plain Python, each K_j's weights from math.comb."""
+    n = x.shape[0]
+    if isinstance(atom, Amplifier):
+        k = atom.kappa
+        shells = [[(j + m, m, math.sqrt(math.comb(j + m, m) * k ** -(m + 1)
+                                        * ((k - 1.0) / k) ** j))
+                   for m in range(n) if j + m < dim_out] for j in range(dim_out)]
+    else:
+        lam = atom.transmissivity
+        shells = [[(m - j, m, math.sqrt(math.comb(m, j) * lam ** (m - j) * (1.0 - lam) ** j))
+                   for m in range(j, n)] for j in range(n)]
+    out = [[0j] * dim_out for _ in range(dim_out)]
+    for shell in shells:
+        for row, m, w in shell:
+            for col, m2, w2 in shell:
+                out[row][col] += w * complex(x[m, m2]) * w2
+    return np.array(out)
+
+
+class TestToeplitzKernel:
+    """The factorised GEMM kernel against the operator sum it replaces."""
+
+    ATOMS = [Amplifier(1.0), Amplifier(1.5), Amplifier(2.0), Amplifier(7.3),
+             Attenuator(0.0), Attenuator(0.13), Attenuator(0.5), Attenuator(0.9),
+             Attenuator(1.0)]
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=repr)
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_matches_the_kraus_sum(self, atom, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if isinstance(atom, Amplifier):
+            for dim_out in (dim + 6, max(1, dim - 3)):  # grown, and cropped
+                out = amplifier_apply(atom.kappa, x, dim_out=dim_out, trace_tolerance=None)
+                assert_allclose(out.matrix, kraus_sum(atom, x, dim_out), rtol=0, atol=1e-14)
+        else:
+            out = attenuator_apply(atom.transmissivity, x)
+            assert_allclose(out.matrix, kraus_sum(atom, x, dim), rtol=0, atol=1e-14)
+
+    # the exact edge atoms are closed forms that never reach the factors
+    @pytest.mark.parametrize("atom", [a for a in ATOMS if a not in (
+        Amplifier(1.0), Attenuator(0.0), Attenuator(1.0))], ids=repr)
+    def test_factors_give_the_shell_weight_products(self, atom):
+        dim_in, dim_out = 24, (60 if isinstance(atom, Amplifier) else 24)
+        log_b, log_c, log_a, rising = channels._toeplitz_factors(atom, dim_in, dim_out)
+        assert rising == isinstance(atom, Amplifier)
+        for row, col, w in channels._kraus_shells(atom, dim_in, dim_out):
+            for e in range(w.size):
+                p = row + np.arange(w.size - e)
+                q = col + np.arange(w.size - e)
+                factored = np.exp(log_a[p] + log_a[p + e] + log_b[np.abs(p - q)]
+                                  + log_c[q] + log_c[q + e])
+                assert_allclose(factored, w[:w.size - e] * w[e:], rtol=1e-13, atol=0)
+
+    @staticmethod
+    def hermitian_state(dim: int) -> np.ndarray:
+        rho = random_density(dim, rank=3, support=dim, rng=2).matrix
+        return 0.5 * (rho + rho.conj().T)  # exactly Hermitian
+
+    def assert_sound(self, out: np.ndarray, rho: np.ndarray):
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, out.conj().T)
+        assert abs(np.trace(out) - np.trace(rho)) <= 1e-12
+
+    def test_attenuator_stays_finite_over_many_tiles(self):
+        # With one slope for all 1300 levels the largest factor would reach
+        # e^642; the per-tile slopes keep every factor below e^60.
+        rho = self.hermitian_state(1300)
+        self.assert_sound(attenuator_apply(0.5, rho).matrix, rho)
+
+    def test_amplifier_finite_where_one_slope_overflows(self, monkeypatch):
+        # A 400-level state grows to 1808 levels, where one slope for the
+        # whole matrix leaves a factor near e^892.
+        rho = self.hermitian_state(400)
+        out = amplifier_apply(2.0, rho).matrix
+        assert out.shape == (1808, 1808)
+        self.assert_sound(out, rho)
+        monkeypatch.setattr(channels, "_TILE", 1 << 20)  # one tile, one slope
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_slope = channels._atom_kernel(Amplifier(2.0), rho, 1808)
+        assert not np.all(np.isfinite(one_slope))
+
+
 class TestKrausSet:
     def test_completeness_exact(self):
         for lam in (0.0, 0.25, 0.5, 1.0):
@@ -524,7 +608,7 @@ class TestCoherentProjection:
         def forbidden(*args, **kwargs):
             raise AssertionError("the projection route must stay independent")
 
-        for name in ("_kraus_shells", "_shell_sum", "_transfer_blocks"):
+        for name in ("_kraus_shells", "_toeplitz_apply", "_transfer_blocks"):
             monkeypatch.setattr(channels, name, forbidden)
         out = coherent_projection(state, "projection")
         assert trace_distance(out, expected) <= 1e-13

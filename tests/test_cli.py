@@ -207,6 +207,17 @@ class TestChannelCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("bad_file", ["c.json", "s.json"])
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys, bad_file):
+        chan, state = tmp_path / "c.json", tmp_path / "s.json"
+        chan.write_text(spec_to_json(smoothing_channel()))
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        (tmp_path / bad_file).write_bytes(b'{"kind": "\xff"}')
+        assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert run("channel", tmp_path / "no.json", tmp_path / "no2.json",
                    "--out", tmp_path / "o.json") == 1

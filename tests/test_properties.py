@@ -1,5 +1,6 @@
-"""Property tests: the ladder claim, the route agreement, Hermiticity and
-trace under the channels, the CSV export and the JSON interchange forms.
+"""Property tests: the ladder claim, the route agreement, Hermiticity,
+trace and photon number under the channels, composition, the CSV export
+and the JSON interchange forms.
 
 Hypothesis draws the operators, phase-space points and JSON payloads; the
 runs are derandomized and bounded, so every run tests the same examples.
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiphase.channels import (AdditiveNoise, Amplifier, Attenuator, apply,
+from quasiphase.channels import (AdditiveNoise, Amplifier, Attenuator, Compose, apply,
                                  coherent_projection, smoothing_channel, spec_from_json)
 from quasiphase.errors import QuasiphaseError
-from quasiphase.fock import (TruncatedOperator, as_density, hermiticity_defect,
+from quasiphase.fock import (TruncatedOperator, as_density, hermiticity_defect, mean_photon,
                              operator_from_json, operator_to_json)
 from quasiphase.phasespace import (PhaseGrid, QuasiDistribution, distribution_to_csv,
                                    q_at, w_at)
@@ -77,6 +78,27 @@ def test_apply_keeps_states_hermitian_with_unit_trace(rho, spec):
     out = apply(spec, rho).matrix
     assert hermiticity_defect(out) <= 1e-12 * max(1.0, float(np.max(np.abs(out))))
     assert abs(np.trace(out) - 1.0) <= 1e-8
+
+
+@PROPERTY
+@given(rho=densities(), kappa=st.floats(min_value=1.0, max_value=4.0),
+       lam=st.floats(min_value=0.0, max_value=1.0))
+def test_photon_number_laws(rho, kappa, lam):
+    n = mean_photon(rho)
+    # the amplifier's default output dim leaves a tail below 1e-10
+    assert abs(mean_photon(apply(Amplifier(kappa), rho)) - (kappa * n + kappa - 1.0)) <= 1e-7
+    assert abs(mean_photon(apply(Attenuator(lam), rho)) - lam * n) <= 1e-12
+    assert abs(mean_photon(apply(smoothing_channel(), rho)) - (n + 0.5)) <= 1e-7
+
+
+@PROPERTY
+@given(rho=densities(), specs=st.lists(channel_specs, min_size=3, max_size=3))
+def test_compose_is_associative(rho, specs):
+    a, b, c = specs
+    left = apply(Compose((Compose((a, b)), c)), rho).matrix
+    right = apply(Compose((a, Compose((b, c)))), rho).matrix
+    assert left.shape == right.shape
+    assert np.max(np.abs(left - right)) <= 1e-14
 
 
 @st.composite
@@ -153,6 +175,17 @@ def shaped_payloads(draw, kind: str):
     return {"kind": name, "kappa": draw(field), "lambda": draw(field),
             "noise": draw(field), "epsilon": draw(field),
             "items": draw(json_values), "inner": draw(json_values)}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@PARSE_EXAMPLES
+@given(raw=st.binary(max_size=64))
+def test_parsers_take_random_bytes(kind, raw):
+    # json.loads takes bytes as well; bytes that do not decode are malformed
+    try:
+        PARSERS[kind](raw)
+    except QuasiphaseError:
+        pass
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
