@@ -14,7 +14,7 @@ verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
 image positivity) on a seeded state battery and reports deviations against
 per-check tolerances.  Checks are pure functions of the config and run one
-after another.  Each battery state's smoothed and double-smoothed images, W
+after another.  The battery, each state's smoothed and double-smoothed images, W
 of the smoothed image on the half-step grid (whose exact centre is the suite
 grid) and the smoothed parity kernels are built once per call, on first use,
 and shared.  The suite always completes, converting per-check exceptions into
@@ -255,10 +255,7 @@ class VerifyConfig:
             16 * max(10 * dim**2, (4 * dim) ** 2),
             f"the verify suite at dim {dim} (ten battery states of "
             f"{16 * dim**2:,} bytes each, parity checks at dim {4 * dim})")
-        if not (0.0 < self.grid_extent < math.inf and 0.0 < self.grid_step < math.inf):
-            raise ValidationError("grid extent and step must be positive and finite")
-        if self.grid_extent < self.grid_step:
-            raise ValidationError("grid extent below grid step")
+        _grid_of(self)  # PhaseGrid validates the geometry
         _halfstep_grid(self)  # the largest grid the suite samples fits the budget
         names = set(CHECK_NAMES)
         for key, value in dict(self.tolerances).items():
@@ -367,10 +364,20 @@ def _smooth_cropped(op: TruncatedOperator, work: int) -> TruncatedOperator:
 
 @dataclass(frozen=True, eq=False)
 class _Shared:
-    """One verify_suite call's ladders (None without a battery) and parity rung."""
+    """One verify_suite call's battery ladders and parity rung.
+
+    Like a `_Ladder` rung, each is built on first access and an access that
+    raises is not cached, so every check that reads a failing one records
+    the error.
+    """
 
     config: VerifyConfig
-    ladders: list | None
+
+    @cached_property
+    def ladders(self) -> list:
+        grids = _grid_of(self.config), _halfstep_grid(self.config)
+        return [_Ladder(rho, *grids)
+                for rho in default_battery(self.config.dim, self.config.seed)]
 
     @cached_property
     def parity_smoothed(self) -> tuple:
@@ -488,30 +495,24 @@ def _check_double_smoothed_image_wigner_positive(config, shared):
     return dev, None
 
 
-# (name, default tolerance, needs battery, runner)
+# (name, default tolerance, runner)
 _CHECKS: tuple = (
-    ("husimi_equals_wigner_of_smoothed", 1e-6, True,
-     _check_husimi_equals_wigner_of_smoothed),
-    ("weierstrass_halfstep_matches_smoothed_wigner", 2e-4, True,
+    ("husimi_equals_wigner_of_smoothed", 1e-6, _check_husimi_equals_wigner_of_smoothed),
+    ("weierstrass_halfstep_matches_smoothed_wigner", 2e-4,
      _check_weierstrass_halfstep_matches_smoothed_wigner),
-    ("coherent_projection_route_agreement", 1e-6, True,
-     _check_coherent_projection_route_agreement),
-    ("parity_smooths_to_coherent_state", 1e-7, False,
-     _check_parity_smooths_to_coherent_state),
-    ("parity_double_smooth_gaussian_mixture", 1e-6, False,
+    ("coherent_projection_route_agreement", 1e-6, _check_coherent_projection_route_agreement),
+    ("parity_smooths_to_coherent_state", 1e-7, _check_parity_smooths_to_coherent_state),
+    ("parity_double_smooth_gaussian_mixture", 1e-6,
      _check_parity_double_smooth_gaussian_mixture),
-    ("amplified_vacuum_is_thermal", 1e-8, False,
-     _check_amplified_vacuum_is_thermal),
-    ("amplified_parity_is_half_vacuum", 1e-8, False,
-     _check_amplified_parity_is_half_vacuum),
-    ("photon_number_laws", 1e-7, True, _check_photon_number_laws),
-    ("smoothed_image_wigner_positive", 1e-6, True,
-     _check_smoothed_image_wigner_positive),
-    ("double_smoothed_image_wigner_positive", 1e-6, True,
+    ("amplified_vacuum_is_thermal", 1e-8, _check_amplified_vacuum_is_thermal),
+    ("amplified_parity_is_half_vacuum", 1e-8, _check_amplified_parity_is_half_vacuum),
+    ("photon_number_laws", 1e-7, _check_photon_number_laws),
+    ("smoothed_image_wigner_positive", 1e-6, _check_smoothed_image_wigner_positive),
+    ("double_smoothed_image_wigner_positive", 1e-6,
      _check_double_smoothed_image_wigner_positive),
 )
 
-CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
@@ -526,31 +527,18 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     config = config or VerifyConfig()
     selected = [c for c in _CHECKS if config.only is None or c[0] in config.only]
     start = time.perf_counter()
-
-    ladders, battery_note = None, ""
-    if any(needs for _, _, needs, _ in selected):
-        try:
-            grids = _grid_of(config), _halfstep_grid(config)
-            ladders = [_Ladder(rho, *grids)
-                       for rho in default_battery(config.dim, config.seed)]
-        except QuasiphaseError as err:
-            battery_note = f"battery construction failed: {err}"
-    shared = _Shared(config, ladders)
-
+    shared = _Shared(config)
     checks = []
     discrepancies: dict = {}
-    for name, default_tol, needs_battery, runner in selected:
+    for name, default_tol, runner in selected:
         tolerance = float(config.tolerances.get(name, default_tol))
         t0 = time.perf_counter()
-        if needs_battery and ladders is None:
-            deviation, note = math.inf, battery_note
-        else:
-            try:
-                deviation, extra = runner(config, shared)
-                note = ""
-                discrepancies.update(extra or {})
-            except QuasiphaseError as err:
-                deviation, note = math.inf, f"{type(err).__name__}: {err}"
+        try:
+            deviation, extra = runner(config, shared)
+            note = ""
+            discrepancies.update(extra or {})
+        except QuasiphaseError as err:
+            deviation, note = math.inf, f"{type(err).__name__}: {err}"
         checks.append(CheckResult(name=name, deviation=float(deviation),
                                   tolerance=tolerance,
                                   passed=bool(deviation <= tolerance),

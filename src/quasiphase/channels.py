@@ -10,13 +10,11 @@ Each channel has two independent realizations that the test suite plays
 against each other:
 
 * a closed-form number-basis kernel (`amplifier_apply`,
-  `attenuator_apply`): each Kraus operator is a weighted shift.  One shell
-  table per atom (`_kraus_shells`) holds the weights, each the square root
-  of a probability so none can overflow.  The kernels take them in
-  factorised form (`_toeplitz_factors`): on each diagonal a shell's weight
-  product is a row factor times a Toeplitz factor B[j] times a column
-  factor, so one real GEMM per tile of levels applies every shell to every
-  diagonal at once (`_toeplitz_apply`);
+  `attenuator_apply`): each Kraus operator is a weighted shift.  One
+  factorised formula (`_toeplitz_factors`) holds the weights: on each
+  diagonal a shell's weight product is a row factor times a Toeplitz
+  factor B[j] times a column factor, so one real GEMM per tile of levels
+  applies every shell to every diagonal at once (`_toeplitz_apply`);
 * a physical dilation (`amplifier_dilated`, `attenuator_dilated`): a
   two-mode squeezer/beamsplitter acting on a vacuum ancilla, exponentiated
   on the conserved chain of each input level |m,0>, with the ancilla
@@ -30,13 +28,11 @@ too when population reaches a chain its system register cuts.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
-one small real transfer block per offset e (`superoperator_of`), gathered
-from the shell table itself, and the regularized inverse (`inverse_apply`)
-filters each diagonal through its block's SVD.  The blocks and their SVDs
-are cached per (spec, dim): O(dim^3) reals, shared by every epsilon.  The
-blocks keep reading the shell table rather than the factorised kernel, so
-the inverse's bits, and the rounding-sensitive classicality verdicts
-built on them, do not move with the kernel.
+one small real transfer block per offset e (`superoperator_of`), whose
+entries are the kernels' weight products from the same factors, and the
+regularized inverse (`inverse_apply`) filters each diagonal through its
+block's SVD.  The blocks and their SVDs are cached per (spec, dim):
+O(dim^3) reals, shared by every epsilon.
 """
 
 from __future__ import annotations
@@ -239,18 +235,6 @@ def _looks_psd(mat: np.ndarray) -> bool:
     return floor >= -1e-6 * scale
 
 
-def _shell_table(shells: int, length: int, log_kappa: float,
-                 log_ratio: float) -> np.ndarray:
-    """g_j(m) = sqrt(binom(j+m, j) kappa^-m ratio^j) for j < shells, m < length.
-
-    Each g^2 is a probability, so no weight can overflow.
-    """
-    j = np.arange(shells, dtype=np.float64)[:, None]
-    m = np.arange(length, dtype=np.float64)
-    log_binom = gammaln(j + m + 1.0) - gammaln(m + 1.0) - gammaln(j + 1.0)
-    return np.exp(0.5 * (log_binom - m * log_kappa + j * log_ratio))
-
-
 @lru_cache(maxsize=256)
 def _amplifier_grown_dim(kappa: float, live: int) -> int:
     """Output dim sized so the discarded shell mass stays below 1e-10.
@@ -287,40 +271,22 @@ def _amplifier_default_dim(kappa: float, mat: np.ndarray) -> int:
     return _amplifier_grown_dim(kappa, trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat))))))
 
 
-def _kraus_shells(atom, dim_in: int, dim_out: int) -> list:
-    """The atom's Kraus operators as weighted shifts (row, col, w).
-
-    Each shell is K = sum_i w[i] |row+i><col+i|, cropped to dim_in input
-    and dim_out output levels: attenuator shell j moves level j+i down to
-    i, amplifier shell j moves level i up to j+i.  The shells come in
-    order of j and each has its own shift, so no two share an entry.
-    """
-    if atom in (Amplifier(1.0), Attenuator(1.0)):
-        return [(0, 0, np.ones(min(dim_in, dim_out)))]
-    if atom == Attenuator(0.0):
-        return [(0, j, np.ones(1)) for j in range(dim_in)]
-    if isinstance(atom, Attenuator):
-        lam = atom.transmissivity
-        g = _shell_table(dim_in, min(dim_in, dim_out), -math.log(lam), math.log(1.0 - lam))
-        return [(0, j, g[j, :min(dim_in - j, dim_out)]) for j in range(dim_in)]
-    kappa = atom.kappa
-    g = _shell_table(dim_out, dim_in, math.log(kappa), math.log((kappa - 1.0) / kappa))
-    g /= math.sqrt(kappa)
-    return [(j, 0, g[j, :min(dim_in, dim_out - j)]) for j in range(dim_out)]
-
-
 _TILE = 128  # output and input levels per GEMM tile
 
 
 def _toeplitz_factors(atom, dim_in: int, dim_out: int) -> tuple:
     """log B[j], log c[q], log a[p] and the direction of one atom's kernel.
 
-    On diagonal e, shell j's weight product factorises as
+    The one formula for the atom's weights: both the kernel
+    (`_toeplitz_apply`) and the transfer blocks (`_transfer_blocks`) read
+    it.  On diagonal e, shell j's weight product factorises as
     w_j(i) w_j(i+e) = a[p] a[p+e] B[j] c[q] c[q+e] with input level q and
     output level p: the amplifier moves q up to p = q + j, so a[p] =
     sqrt(p!), B[j] = ((kappa-1)/kappa)^j / (kappa j!) and c[q] =
     kappa^(-q/2) / sqrt(q!); the attenuator moves q down to p = q - j, so
     a[p] = lam^(p/2) / sqrt(p!), B[j] = (1-lam)^j / j! and c[q] = sqrt(q!).
+    Each weight is a probability's square root, so a product's summed log
+    is <= 0: the factors can overflow, the products cannot.
     Returns (log_b, log_c, log_a, rising), rising meaning p >= q.
     """
     half_fact = 0.5 * gammaln(np.arange(max(dim_in, dim_out)) + 1.0)
@@ -535,17 +501,6 @@ def attenuator_kraus(lam: float, dim: int) -> KrausSet:
             f"{KRAUS_TOLERANCE:g}")
     return KrausSet(dim_in=dim, dim_out=dim, matrices=tuple(mats),
                     completeness_residual=residual)
-
-
-def _amplifier_kraus(kappa: float, dim_in: int, dim_out: int) -> list[np.ndarray]:
-    """Rectangular amplifier Kraus stack; shells beyond dim_out are cropped."""
-    mats = []
-    for row, col, w in _kraus_shells(Amplifier(kappa), dim_in, dim_out):
-        m = np.zeros((dim_out, dim_in), dtype=np.complex128)
-        i = np.arange(w.size)
-        m[row + i, col + i] = w
-        mats.append(m)
-    return mats
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -779,9 +734,9 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
     last stage; a product of square-cropped factor blocks would crop
     between the stages instead, discarding mass the later stages fold back
     below dim and spoiling the small singular values the inverse needs.
-    On diagonal e, shell entry i moves <col+i|X|col+i+e> to
-    <row+i|Y|row+i+e> with weight w[i] w[i+e]; in the stage's flat weight
-    table the partner of entry k is entry k+e.
+    On diagonal e an atom moves <q|X|q+e> to <p|Y|p+e> with the kernel's
+    weight a[p] a[p+e] B[|p-q|] c[q] c[q+e] (`_toeplitz_factors`), on the
+    triangle its direction allows.
     Returns (blocks, svds) with svds[e] = (U, s, V^T) of blocks[e].
     """
     # blocks[e], U and V^T each hold (dim - e)^2 reals: 3 sum_m m^2 in all
@@ -797,18 +752,23 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
             out_dim = _amplifier_grown_dim(atom.kappa, cur_dim)
         else:
             out_dim = cur_dim
-        shells = _kraus_shells(atom, cur_dim, out_dim)
-        sizes = np.array([w.size for *_, w in shells])
-        # i: each flat entry's index inside its shell
-        i = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        rows = np.repeat([row for row, _, _ in shells], sizes) + i
-        cols = np.repeat([col for _, col, _ in shells], sizes) + i
-        rest = np.repeat(sizes, sizes) - i
-        weights = np.concatenate([w for *_, w in shells])
+        exact = atom in (Amplifier(1.0), Attenuator(1.0), Attenuator(0.0))
+        if not exact:  # the edge atoms have no finite logs
+            log_b, log_c, log_a, rising = _toeplitz_factors(atom, cur_dim, out_dim)
+            p, q = np.arange(out_dim)[:, None], np.arange(cur_dim)
+            gap = p - q if rising else q - p
+            log_t = np.where(gap >= 0, log_b[np.abs(gap)], -np.inf)  # B[|p-q|]
         for offset in range(dim):
-            paired = np.nonzero(rest > offset)[0]  # partner inside the shell
-            step = np.zeros((out_dim - offset, cur_dim - offset))
-            step[rows[paired], cols[paired]] = weights[paired] * weights[paired + offset]
+            rows, cols = out_dim - offset, cur_dim - offset
+            if atom == Attenuator(0.0):  # every level to the vacuum
+                step = np.zeros((rows, cols))
+                if offset == 0:
+                    step[0] = 1.0
+            elif exact:
+                step = np.eye(rows, cols)
+            else:
+                step = np.exp((log_a[:rows] + log_a[offset:])[:, None] + log_t[:rows, :cols]
+                              + log_c[:cols] + log_c[offset:])
             blocks[offset] = step @ blocks[offset]
         cur_dim = out_dim
     for block in blocks:

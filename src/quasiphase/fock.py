@@ -63,7 +63,9 @@ __all__ = [
 # array is allocated.
 DENSE_BUDGET_BYTES = 1 << 30
 
-# Default tolerances; every check that uses one accepts an override keyword.
+# State tolerances.  The tail and trace ones have per-call overrides (the
+# state constructors' `tail_tolerance`, `DensityOperator.trace_tolerance`);
+# the Hermitian and PSD ones are fixed.
 HERMITIAN_TOLERANCE = 1e-12
 PSD_TOLERANCE = 1e-10
 TAIL_TOLERANCE = 1e-8
@@ -125,29 +127,27 @@ class TruncatedOperator:
 class DensityOperator:
     """A TruncatedOperator validated as a physical state.
 
-    Hermitian within `hermitian_tolerance`, unit trace within
+    Hermitian within HERMITIAN_TOLERANCE, unit trace within
     `trace_tolerance` (truncation may shave tail mass below it), and
-    positive semidefinite within `psd_tolerance`.
+    positive semidefinite within PSD_TOLERANCE.
     """
 
     op: TruncatedOperator
-    hermitian_tolerance: float = field(default=HERMITIAN_TOLERANCE, repr=False)
     trace_tolerance: float = field(default=TRACE_TOLERANCE, repr=False)
-    psd_tolerance: float = field(default=PSD_TOLERANCE, repr=False)
 
     def __post_init__(self):
         mat = self.op.matrix
         defect = hermiticity_defect(mat)
-        if defect > self.hermitian_tolerance * max(1.0, float(np.max(np.abs(mat)))):
+        if defect > HERMITIAN_TOLERANCE * max(1.0, float(np.max(np.abs(mat)))):
             raise ValidationError(f"density matrix not Hermitian: defect {defect:.3e}")
         tr = np.trace(mat)
         if abs(tr - 1.0) > self.trace_tolerance:
             raise ValidationError(f"density matrix trace {tr:.12g} not within "
                                   f"{self.trace_tolerance:g} of 1")
         floor = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-        if floor < -self.psd_tolerance:
+        if floor < -PSD_TOLERANCE:
             raise ValidationError(f"density matrix has eigenvalue {floor:.3e} below "
-                                  f"-{self.psd_tolerance:g}")
+                                  f"-{PSD_TOLERANCE:g}")
 
     @property
     def matrix(self) -> np.ndarray:

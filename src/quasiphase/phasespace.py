@@ -63,6 +63,9 @@ __all__ = [
 
 GRID_TOLERANCE = 1e-3
 KINDS = ("P", "W", "Q")
+# what recognize_gaussian_p allows off and along a thermal-form diagonal
+GAUSSIAN_DIAG_TOLERANCE = 1e-12
+GAUSSIAN_RATIO_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -227,21 +230,22 @@ def p_thermal_at(nbar: float, alpha: complex) -> float:
     return GaussianP(float(nbar)).value_at(alpha)
 
 
-def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
-                         ratio_tolerance: float = 1e-10) -> GaussianP | None:
+def recognize_gaussian_p(x) -> GaussianP | None:
     """Detect a thermal-form matrix (diagonal, geometric) and return its P.
 
-    Returns None when the matrix is not of that form.  A recognized q -> 0
-    (vacuum-like) case is the delta limit and maps to GaussianP(0), whose
-    evaluation raises SingularPError.
+    Returns None when the matrix is not of that form: an off-diagonal or
+    imaginary entry above GAUSSIAN_DIAG_TOLERANCE, or a diagonal that
+    leaves its geometric fit by more than GAUSSIAN_RATIO_TOLERANCE.  A
+    recognized q -> 0 (vacuum-like) case is the delta limit and maps to
+    GaussianP(0), whose evaluation raises SingularPError.
     """
     mat = _as_operator(x).matrix
     dim = mat.shape[0]
     off = mat - np.diag(np.diagonal(mat))
-    if float(np.max(np.abs(off))) > diag_tolerance:
+    if float(np.max(np.abs(off))) > GAUSSIAN_DIAG_TOLERANCE:
         return None
     diag = np.diagonal(mat).real
-    if float(np.max(np.abs(np.diagonal(mat).imag))) > diag_tolerance:
+    if float(np.max(np.abs(np.diagonal(mat).imag))) > GAUSSIAN_DIAG_TOLERANCE:
         return None
     if diag[0] <= 0.0:
         return None
@@ -251,7 +255,7 @@ def recognize_gaussian_p(x, diag_tolerance: float = 1e-12,
     if not 0.0 <= q < 1.0:
         return None
     expected = diag[0] * q ** np.arange(dim)
-    if float(np.max(np.abs(diag - expected))) > ratio_tolerance:
+    if float(np.max(np.abs(diag - expected))) > GAUSSIAN_RATIO_TOLERANCE:
         return None
     weight = float(diag[0] / (1.0 - q))  # total geometric mass
     nbar = float(q / (1.0 - q))

@@ -259,6 +259,15 @@ class TestVerifySuite:
         failed = [c for c in report.checks if not c.passed]
         assert failed and all(c.note for c in failed)
         assert all(not math.isfinite(c.deviation) for c in failed)
+        # each check that reads the battery records the failed build itself
+        battery_checks = {"husimi_equals_wigner_of_smoothed",
+                          "weierstrass_halfstep_matches_smoothed_wigner",
+                          "coherent_projection_route_agreement", "photon_number_laws",
+                          "smoothed_image_wigner_positive",
+                          "double_smoothed_image_wigner_positive"}
+        failed_battery = [c for c in failed if c.name in battery_checks]
+        assert {c.name for c in failed_battery} == battery_checks
+        assert all(c.note.startswith("TruncationError") for c in failed_battery)
 
     def test_deterministic_given_config(self):
         config = VerifyConfig(only=("photon_number_laws",), **REDUCED)

@@ -286,24 +286,37 @@ class TestAttenuatorKernel:
             assert mean_photon(out) == pytest.approx(lam * mean_photon(state), abs=1e-9)
 
 
-def kraus_sum(atom, x: np.ndarray, dim_out: int) -> np.ndarray:
-    """sum_j K_j X K_j^dag in plain Python, each K_j's weights from math.comb."""
-    n = x.shape[0]
+def comb_shells(atom, n: int, dim_out: int) -> list:
+    """Each Kraus operator K_j of atom as [(row, col, weight)], weights from math.comb."""
     if isinstance(atom, Amplifier):
         k = atom.kappa
-        shells = [[(j + m, m, math.sqrt(math.comb(j + m, m) * k ** -(m + 1)
-                                        * ((k - 1.0) / k) ** j))
-                   for m in range(n) if j + m < dim_out] for j in range(dim_out)]
-    else:
-        lam = atom.transmissivity
-        shells = [[(m - j, m, math.sqrt(math.comb(m, j) * lam ** (m - j) * (1.0 - lam) ** j))
-                   for m in range(j, n)] for j in range(n)]
+        return [[(j + m, m, math.sqrt(math.comb(j + m, m) * k ** -(m + 1)
+                                      * ((k - 1.0) / k) ** j))
+                 for m in range(n) if j + m < dim_out] for j in range(dim_out)]
+    lam = atom.transmissivity
+    return [[(m - j, m, math.sqrt(math.comb(m, j) * lam ** (m - j) * (1.0 - lam) ** j))
+             for m in range(j, n)] for j in range(n)]
+
+
+def kraus_sum(atom, x: np.ndarray, dim_out: int) -> np.ndarray:
+    """sum_j K_j X K_j^dag in plain Python, each K_j's weights from math.comb."""
     out = [[0j] * dim_out for _ in range(dim_out)]
-    for shell in shells:
+    for shell in comb_shells(atom, x.shape[0], dim_out):
         for row, m, w in shell:
             for col, m2, w2 in shell:
                 out[row][col] += w * complex(x[m, m2]) * w2
     return np.array(out)
+
+
+def kraus_matrices(atom, n: int, dim_out: int) -> list:
+    """The K_j of `comb_shells` as dense dim_out x n matrices."""
+    mats = []
+    for shell in comb_shells(atom, n, dim_out):
+        k = np.zeros((dim_out, n))
+        for row, col, w in shell:
+            k[row, col] = w
+        mats.append(k)
+    return mats
 
 
 class TestToeplitzKernel:
@@ -330,16 +343,16 @@ class TestToeplitzKernel:
     @pytest.mark.parametrize("atom", [a for a in ATOMS if a not in (
         Amplifier(1.0), Attenuator(0.0), Attenuator(1.0))], ids=repr)
     def test_factors_give_the_shell_weight_products(self, atom):
-        dim_in, dim_out = 24, (60 if isinstance(atom, Amplifier) else 24)
+        dim_in, dim_out = 24, 60
         log_b, log_c, log_a, rising = channels._toeplitz_factors(atom, dim_in, dim_out)
         assert rising == isinstance(atom, Amplifier)
-        for row, col, w in channels._kraus_shells(atom, dim_in, dim_out):
+        for shell in comb_shells(atom, dim_in, dim_out):
+            p, q, w = map(np.array, zip(*shell))  # consecutive levels
             for e in range(w.size):
-                p = row + np.arange(w.size - e)
-                q = col + np.arange(w.size - e)
-                factored = np.exp(log_a[p] + log_a[p + e] + log_b[np.abs(p - q)]
-                                  + log_c[q] + log_c[q + e])
-                assert_allclose(factored, w[:w.size - e] * w[e:], rtol=1e-13, atol=0)
+                k = w.size - e
+                factored = np.exp(log_a[p[:k]] + log_a[p[:k] + e] + log_b[np.abs(p[:k] - q[:k])]
+                                  + log_c[q[:k]] + log_c[q[:k] + e])
+                assert_allclose(factored, w[:k] * w[e:], rtol=1e-13, atol=0)
 
     @staticmethod
     def hermitian_state(dim: int) -> np.ndarray:
@@ -608,7 +621,7 @@ class TestCoherentProjection:
         def forbidden(*args, **kwargs):
             raise AssertionError("the projection route must stay independent")
 
-        for name in ("_kraus_shells", "_toeplitz_apply", "_transfer_blocks"):
+        for name in ("_toeplitz_factors", "_toeplitz_apply", "_transfer_blocks"):
             monkeypatch.setattr(channels, name, forbidden)
         out = coherent_projection(state, "projection")
         assert trace_distance(out, expected) <= 1e-13
@@ -755,11 +768,18 @@ class TestSuperoperator:
         row_sums = np.einsum("iipq->pq", folded)
         assert_allclose(row_sums[:4, :4], np.eye(dim)[:4, :4], atol=1e-8)
 
+    # every atom of TestToeplitzKernel.ATOMS: attenuators with the library's
+    # Kraus stack, amplifiers with the test-side math.comb one
     @pytest.mark.parametrize("spec,kraus", [
         (Attenuator(0.5), lambda d: attenuator_kraus(0.5, d).matrices),
         (Attenuator(0.0), lambda d: attenuator_kraus(0.0, d).matrices),
-        (Amplifier(2.0), lambda d: channels._amplifier_kraus(2.0, d, d)),
-        (Amplifier(1.0), lambda d: channels._amplifier_kraus(1.0, d, d)),
+        (Amplifier(2.0), lambda d: kraus_matrices(Amplifier(2.0), d, d)),
+        (Amplifier(1.0), lambda d: kraus_matrices(Amplifier(1.0), d, d)),
+        (Amplifier(1.5), lambda d: kraus_matrices(Amplifier(1.5), d, d)),
+        (Amplifier(7.3), lambda d: kraus_matrices(Amplifier(7.3), d, d)),
+        (Attenuator(0.13), lambda d: attenuator_kraus(0.13, d).matrices),
+        (Attenuator(0.9), lambda d: attenuator_kraus(0.9, d).matrices),
+        (Attenuator(1.0), lambda d: attenuator_kraus(1.0, d).matrices),
     ])
     def test_atom_blocks_match_kraus_sum(self, spec, kraus):
         # The operator-sum form sum_K K (x) conj(K) is an independent
@@ -767,6 +787,11 @@ class TestSuperoperator:
         d = 12
         expected = sum(np.kron(k, k.conj()) for k in kraus(d))
         assert_allclose(superoperator_of(spec, d).matrix, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [Amplifier(1.0), Attenuator(1.0)], ids=repr)
+    def test_identity_atoms_have_identity_blocks(self, spec):
+        for block in superoperator_of(spec, 12).blocks:
+            assert np.array_equal(block, np.eye(block.shape[0]))
 
     def test_inverse_has_no_superoperator(self):
         with pytest.raises(ValidationError):

@@ -1,17 +1,22 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and no private
+top-level function or class in src/ goes unread.
 
-A stdlib AST scan: an import binding counts as used when its name is read
+Stdlib AST scans.  An import binding counts as used when its name is read
 anywhere in the module, appears in a string annotation, or is re-exported
-through `__all__`.
+through `__all__`.  A private definition counts as read when a src/ module
+loads its name, reads it as an attribute or imports it, outside the
+definition's own body.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -63,3 +68,43 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import pi, tau\nx = np.pi + tau\n")
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["os", "pi"]
+
+
+def names_read(tree: ast.AST) -> set:
+    """Names a subtree loads, reads as attributes or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def unread_private_definitions(modules: dict) -> list:
+    """(module, line, name) of each private top-level def no module reads."""
+    # how many top-level statements, over all modules, read each name
+    readers = Counter(name for tree in modules.values() for stmt in tree.body
+                      for name in names_read(stmt))
+    return [(module, stmt.lineno, stmt.name)
+            for module, tree in modules.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and readers[stmt.name] == (stmt.name in names_read(stmt))]
+
+
+def test_every_private_definition_is_read():
+    modules = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+               for p in SOURCES}
+    assert unread_private_definitions(modules) == []
+
+
+def test_the_scan_sees_an_unread_private_definition():
+    modules = {
+        "a": ast.parse("def _used():\n    pass\n\ndef _self_only(n):\n    return _self_only(n)\n"
+                       "\nclass _Unread:\n    pass\n"),
+        "b": ast.parse("from a import _used\n_used()\n"),
+    }
+    assert unread_private_definitions(modules) == [("a", 4, "_self_only"), ("a", 7, "_Unread")]
