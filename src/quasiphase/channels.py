@@ -13,17 +13,18 @@ against each other:
   `attenuator_apply`): each Kraus operator is a weighted shift.  One
   factorised formula (`_toeplitz_factors`) holds the weights: on each
   diagonal a shell's weight product is a row factor times a Toeplitz
-  factor B[j] times a column factor, so one real GEMM per tile of levels
-  applies every shell to every diagonal at once (`_toeplitz_apply`);
+  factor B[j] times a column factor, so two real GEMMs per tile of levels
+  apply every shell to every diagonal at once (`_toeplitz_apply`);
 * a physical dilation (`amplifier_dilated`, `attenuator_dilated`): a
   two-mode squeezer/beamsplitter acting on a vacuum ancilla, exponentiated
   on the conserved chain of each input level |m,0>, with the ancilla
   traced out afterwards.
 
-Trace bookkeeping: amplification grows support, so outputs default to a
-padded dimension; a PSD input that still loses trace beyond tolerance
-raises TraceLeakError (non-trace-class inputs like the parity operator are
-exempt, their truncated trace legitimately moves).  A dilation raises it
+Trace bookkeeping: amplification grows support, so outputs default to the
+fewest levels that leak at most GROWTH_TAIL of a unit trace
+(`_amplifier_grown_dim`); a PSD input that still loses trace beyond
+tolerance raises TraceLeakError (non-trace-class inputs like the parity
+operator are exempt, their truncated trace legitimately moves).  A dilation raises it
 too when population reaches a chain its system register cuts.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
@@ -45,7 +46,7 @@ from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.special import digamma, gammaln, roots_laguerre
+from scipy.special import digamma, gammaln, nbdtrc, roots_laguerre
 
 from .errors import (
     AncillaTailError,
@@ -58,6 +59,7 @@ from .fock import (
     _as_operator,
     _check_dense_budget,
     _json_number,
+    _required_dim,
     _tridiagonal_expm_rows,
     hermiticity_defect,
     trace_distance,
@@ -92,6 +94,9 @@ __all__ = [
 ]
 
 KRAUS_TOLERANCE = 1e-10
+# Tail mass the amplifier's default output may discard from a unit trace:
+# one ulp of 1.0, no more than the rounding of the trace's own sum.
+GROWTH_TAIL = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,8 @@ class Amplifier:
     kappa: float
 
     def __post_init__(self):
-        if not self.kappa >= 1.0:
-            raise ValidationError(f"amplifier gain must be >= 1, got {self.kappa}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValidationError(f"amplifier gain must be finite and >= 1, got {self.kappa}")
         object.__setattr__(self, "kappa", float(self.kappa))
 
 
@@ -138,8 +143,8 @@ class AdditiveNoise:
     noise: float
 
     def __post_init__(self):
-        if not self.noise >= 0.0:
-            raise ValidationError(f"noise strength must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValidationError(f"noise strength must be finite and >= 0, got {self.noise}")
         object.__setattr__(self, "noise", float(self.noise))
 
 
@@ -151,8 +156,9 @@ class Inverse:
     epsilon: float = 1e-10
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValidationError(f"inverse epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(
+                f"inverse epsilon must be finite and positive, got {self.epsilon}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
@@ -237,32 +243,18 @@ def _looks_psd(mat: np.ndarray) -> bool:
 
 @lru_cache(maxsize=256)
 def _amplifier_grown_dim(kappa: float, live: int) -> int:
-    """Output dim sized so the discarded shell mass stays below 1e-10.
+    """Fewest output levels that leak at most GROWTH_TAIL of a unit trace.
 
-    Shell j acting on occupied level m <= live-1 contributes at most
-    binom(j+live-1, live-1) ((kappa-1)/kappa)^j to the output at level j+m,
-    so the search walks j until that bound (plus a geometric remainder
-    margin) drops under 1e-10.
+    The amplifier moves level m up by a negative-binomial count of m + 1
+    successes at probability 1/kappa, so the top live level m = live - 1
+    has the heaviest tail, P(shift > dim - live) = nbdtrc(dim - live, live,
+    1/kappa), and it bounds the trace leak of every unit-trace input on
+    `live` levels.  `fock._required_dim` searches that tail.
     """
-    if kappa == 1.0:
-        return live
-    ratio = (kappa - 1.0) / kappa
-    cutoff = 1e-10 * (1.0 - ratio) / 4.0
-    log_ratio = math.log(ratio)
-    lo, depth = 1, None
-    # past kappa ~ 1e16 the ratio rounds to 1 and leaves no cutoff to reach
-    while depth is None and lo < 1 << 20 and cutoff > 0.0:
-        j = np.arange(lo, lo + 4096, dtype=np.float64)
-        bound = (gammaln(j + live) - gammaln(live) - gammaln(j + 1.0)
-                 + j * log_ratio)
-        hits = np.nonzero(bound <= math.log(cutoff))[0]
-        if hits.size:
-            depth = lo + int(hits[0])
-        lo += 4096
-    if depth is None:
-        raise ValidationError(
-            f"cannot bound amplifier({kappa}) growth for live dim {live}")
-    return max(int(math.ceil(kappa * live)) + 10, live + depth + 1)
+    def tail_at(dim: int) -> float:
+        return 1.0 if dim < live else float(nbdtrc(dim - live, live, 1.0 / kappa))
+
+    return _required_dim(tail_at, GROWTH_TAIL, f"amplifier({kappa}) of {live} live levels")
 
 
 def _amplifier_default_dim(kappa: float, mat: np.ndarray) -> int:
@@ -309,17 +301,20 @@ def _toeplitz_apply(mat: np.ndarray, dim_out: int, log_b: np.ndarray,
 
     q runs up to p when `rising` and from p on otherwise; the factors come
     from `_toeplitz_factors`.  Diagonal e of mat and of its transpose are
-    columns of one skewed array, so the offsets +e and -e share every
-    weight (a Hermitian input stays exactly Hermitian) and each tile of
-    at most _TILE output x _TILE input levels is one real GEMM: the shared
-    Toeplitz block B[|p-q|] against the float view of the diagonals
-    scaled by c, with the rows then scaled by a.  The factorials overflow,
-    so each tile takes its own slope tau: B gains e^(tau j), c c e^(+-tau q)
-    and a a e^(-+tau p), which leaves every product unchanged.  tau is the
-    slope of the factorial factor at the tile's centre, and the tile's
-    maxima of B and of each offset's c c move into a a, so B <= 1 and
-    c c <= 1; a factor then underflows only where the weight it carries
-    is far below any representable contribution.
+    columns of two skewed halves, so the offsets +e and -e share every
+    weight, and each tile of at most _TILE output x _TILE input levels is
+    two real GEMMs of one shape, one per half: the shared Toeplitz block
+    B[|p-q|] against the float view of the diagonals scaled by c, with the
+    rows then scaled by a.  One GEMM over both halves would put their
+    columns in different BLAS edge kernels; two of one shape round +e and
+    -e alike, so a Hermitian input stays exactly Hermitian.  The
+    factorials overflow, so each tile takes its own slope tau: B gains
+    e^(tau j), c c e^(+-tau q) and a a e^(-+tau p), which leaves every
+    product unchanged.  tau is the slope of the factorial factor at the
+    tile's centre, and the tile's maxima of B and of each offset's c c
+    move into a a, so B <= 1 and c c <= 1; a factor then underflows only
+    where the weight it carries is far below any representable
+    contribution.
     """
     n = mat.shape[0]
     sign = 1 if rising else -1
@@ -374,8 +369,9 @@ def _toeplitz_apply(mat: np.ndarray, dim_out: int, log_b: np.ndarray,
             z = buf_z[:mq * 2 * cols].reshape(mq, 2, cols)
             for half in range(2):
                 np.multiply(skew_in[half][q0:q1, :cols], cc, out=z[:, half])
-            r = buf_r[:mp * 4 * cols].reshape(mp, 4 * cols)
-            np.matmul(toeplitz, z.reshape(mq, 2 * cols).view(np.float64), out=r)
+            r = buf_r[:mp * 4 * cols].reshape(mp, 2, 2 * cols)
+            for half in range(2):  # same-shape GEMMs round both halves alike
+                np.matmul(toeplitz, z[:, half].view(np.float64), out=r[:, half])
             aa = buf_a[:mp * cols].reshape(mp, cols)
             np.add(hank_a[p0:p1, :cols],
                    (log_a[p0:p1] - sign * tau * np.arange(p0, p1) + beta_b)[:, None], out=aa)
@@ -412,8 +408,8 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
     B[j] = ((kappa-1)/kappa)^j / (kappa j!) and c[q] = kappa^(-q/2) /
     sqrt(q!), so the lower-triangular Toeplitz B contracts every input
     diagonal at once, in balanced tiles (`_toeplitz_apply`).  The default
-    output dim pads the kappa-fold image of the live block until the
-    geometric shell factor is negligible.  PSD inputs that still lose more
+    output dim is the fewest levels that leak at most GROWTH_TAIL of a
+    unit trace (`_amplifier_grown_dim`).  PSD inputs that still lose more
     than `trace_tolerance` trace raise TraceLeakError naming the deficit.
     """
     spec = Amplifier(kappa)
@@ -803,8 +799,8 @@ def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10,
     inputs get Hermitian preimages (the exact preimage is, and projecting
     cannot grow the residual of a Hermitian-covariant map).
     """
-    if not epsilon > 0.0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     op = _as_operator(x)
     mat = op.matrix
     dim = mat.shape[0]

@@ -25,6 +25,7 @@ from .analysis import (
 from .channels import apply, channel_diagnostics, spec_from_json
 from .errors import QuasiphaseError, SpecParseError, ValidationError
 from .fock import (
+    as_density,
     coherent_state,
     displaced_parity,
     fock_state,
@@ -164,6 +165,10 @@ def _cmd_channel(args) -> int:
 
 def _cmd_dist(args) -> int:
     state = operator_from_json(_read_text(args.state))
+    try:  # a state's grid must keep its trace; a non-state (parity:) has none to keep
+        state = as_density(state)
+    except ValidationError:
+        pass
     grid = PhaseGrid(half_extent=args.grid_extent, spacing=args.grid_step)
     dist = sample(state, args.kind, grid)
     report = negativity(dist)

@@ -63,9 +63,9 @@ __all__ = [
 # array is allocated.
 DENSE_BUDGET_BYTES = 1 << 30
 
-# State tolerances.  The tail and trace ones have per-call overrides (the
-# state constructors' `tail_tolerance`, `DensityOperator.trace_tolerance`);
-# the Hermitian and PSD ones are fixed.
+# State tolerances.  Only the trace one has a per-call override
+# (`DensityOperator.trace_tolerance`); the tail, Hermitian and PSD ones are
+# fixed.
 HERMITIAN_TOLERANCE = 1e-12
 PSD_TOLERANCE = 1e-10
 TAIL_TOLERANCE = 1e-8
@@ -230,21 +230,19 @@ def _required_dim(tail_at, tol: float, what: str) -> int:
     return hi
 
 
-def coherent_state(
-    alpha: complex, dim: int, tail_tolerance: float = TAIL_TOLERANCE
-) -> tuple[DensityOperator, TailReport]:
+def coherent_state(alpha: complex, dim: int) -> tuple[DensityOperator, TailReport]:
     """Coherent-state projector |alpha><alpha| and its truncation report."""
     dim = _check_dim(dim)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValidationError(f"coherent amplitude alpha must be finite, got {alpha}")
     tail = coherent_tail(alpha, dim)
-    if tail > tail_tolerance:
-        need = _required_dim(lambda n: coherent_tail(alpha, n), tail_tolerance,
+    if tail > TAIL_TOLERANCE:
+        need = _required_dim(lambda n: coherent_tail(alpha, n), TAIL_TOLERANCE,
                              f"coherent state alpha={alpha}")
         raise TruncationError(
             f"coherent state alpha={alpha} loses tail mass {tail:.3e} at dim={dim}; "
-            f"dim={need} would satisfy tolerance {tail_tolerance:g}",
+            f"dim={need} would satisfy tolerance {TAIL_TOLERANCE:g}",
             tail_mass=tail,
             required_dim=need,
         )
@@ -252,14 +250,12 @@ def coherent_state(
     mat = np.outer(amps, amps.conj())
     state = as_density(
         TruncatedOperator(mat, label=f"coherent({alpha})"),
-        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * tail_tolerance),
+        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE),
     )
     return state, TailReport(input_dim=dim, work_dim=dim, tail_mass=tail)
 
 
-def thermal_state(
-    nbar: float, dim: int, tail_tolerance: float = TAIL_TOLERANCE
-) -> DensityOperator:
+def thermal_state(nbar: float, dim: int) -> DensityOperator:
     """Thermal state with mean photon number `nbar`; geometric number law."""
     dim = _check_dim(dim)
     nbar = float(nbar)
@@ -269,12 +265,12 @@ def thermal_state(
         return fock_state(0, dim)
     q = nbar / (nbar + 1.0)
     tail = q**dim
-    if tail > tail_tolerance:
+    if tail > TAIL_TOLERANCE:
         # q rounds to 1 for nbar past ~1e16, so search rather than divide by log q
-        need = _required_dim(lambda n: q**n, tail_tolerance, f"thermal state nbar={nbar}")
+        need = _required_dim(lambda n: q**n, TAIL_TOLERANCE, f"thermal state nbar={nbar}")
         raise TruncationError(
             f"thermal state nbar={nbar} loses tail mass {tail:.3e} at dim={dim}; "
-            f"dim={need} would satisfy tolerance {tail_tolerance:g}",
+            f"dim={need} would satisfy tolerance {TAIL_TOLERANCE:g}",
             tail_mass=tail,
             required_dim=need,
         )
@@ -282,7 +278,7 @@ def thermal_state(
     mat = np.diag(probs).astype(np.complex128)
     return as_density(
         TruncatedOperator(mat, label=f"thermal({nbar})"),
-        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * tail_tolerance),
+        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE),
     )
 
 

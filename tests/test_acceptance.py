@@ -237,7 +237,8 @@ def test_criterion_09_regularized_inversion_and_certification():
     for label, n in (("vacuum", 0), ("fock1", 1), ("fock2", 2), ("fock3", 3)):
         state = fock.fock_state(n, work)
         img = channels.apply(spec, state)
-        # The vacuum image trims to 39 levels, so its solve runs at dim 39.
+        # Each image outgrows the work dim and is cropped to it; a shorter
+        # image would keep its own dim.
         d = min(img.dim, work)
         img = fock.crop(img, d)
         rho = state.matrix[:d, :d]
@@ -251,7 +252,7 @@ def test_criterion_09_regularized_inversion_and_certification():
         trips[label] = (measured, predicted)
         trip_dev = max(trip_dev, abs(measured - predicted))
         residual = max(residual, back.residual)
-    # Both routes size the amplifier output for a trace leak below 1e-10.
+    # Both routes grow the amplifier's output by the same tail search.
     kernel_ok = kernel_dev <= 1e-10
     trips_ok = (trip_dev <= 1e-6 and residual <= analysis.RESIDUAL_BOUND
                 and trips["vacuum"][0] <= 1e-4)

@@ -97,6 +97,10 @@ class TestSpecs:
             AdditiveNoise(-1.0)
         with pytest.raises(ValidationError):
             Inverse(Amplifier(2.0), epsilon=0.0)
+        for build in (lambda: Amplifier(math.inf), lambda: AdditiveNoise(math.inf),
+                      lambda: Inverse(Amplifier(2.0), epsilon=math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                build()
         with pytest.raises(ValidationError):
             Compose(())
         with pytest.raises(ValidationError):
@@ -168,6 +172,35 @@ class TestSpecs:
             spec_from_json(text)
 
 
+def negative_binomial_tail(kappa: float, live: int, dim: int) -> float:
+    """Mass the amplifier moves from level live - 1 to dim or above."""
+    if dim < live:
+        return 1.0
+    log_p, log_q = math.log(1.0 / kappa), math.log1p(-1.0 / kappa)
+    shifts = range(dim - live + 1, dim - live + 3001)  # the terms fall past the mode
+    return math.fsum(math.exp(math.lgamma(j + live) - math.lgamma(live) - math.lgamma(j + 1)
+                              + live * log_p + j * log_q) for j in shifts)
+
+
+class TestGrowthRule:
+    CASES = [(kappa, live) for kappa in (1.5, 2.0, 5.0) for live in (1, 4, 40, 64)]
+
+    @pytest.mark.parametrize("kappa,live", CASES)
+    def test_default_dim_is_the_first_below_the_tolerance(self, kappa, live):
+        dim = amplifier_apply(kappa, fock_state(live - 1, live)).dim
+        tol = channels.GROWTH_TAIL
+        assert negative_binomial_tail(kappa, live, dim) <= tol * (1.0 + 1e-6)
+        assert negative_binomial_tail(kappa, live, dim - 1) > tol * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize("kappa,live", CASES)
+    def test_top_level_leaks_at_most_an_ulp(self, kappa, live):
+        rho = fock_state(live - 1, live)
+        dim = amplifier_apply(kappa, rho).dim
+        wide = amplifier_apply(kappa, rho, dim_out=dim + 300).matrix
+        leak = math.fsum(np.diagonal(wide).real[dim:])
+        assert 0.0 < leak <= 2.0 * np.finfo(float).eps
+
+
 class TestAmplifierKernel:
     def test_gain_one_is_identity(self):
         rho = random_density(12, rank=2, rng=5)
@@ -206,13 +239,14 @@ class TestAmplifierKernel:
         assert info.value.deficit == pytest.approx(0.5**5, rel=1e-6)
 
     def test_output_over_the_dense_budget_raises(self):
-        # A full dim-64 block sizes the 100-fold image at 50 881 levels.
+        # The 100-fold image of a full dim-64 block needs over 8192 levels,
+        # so the tail search stops at the first dim past the dense budget.
         rho = random_density(64, rank=2, rng=1)
         with pytest.raises(BudgetError) as info:
             amplifier_apply(100.0, rho)
-        assert info.value.required_bytes == 16 * 50881**2
+        assert info.value.required_bytes == 16 * 8193**2
         assert info.value.budget_bytes == DENSE_BUDGET_BYTES
-        assert f"{16 * 50881**2:,} bytes" in str(info.value)
+        assert f"{16 * 8193**2:,} bytes" in str(info.value)
         with pytest.raises(BudgetError):
             apply(Amplifier(100.0), rho)
 
@@ -371,15 +405,15 @@ class TestToeplitzKernel:
         self.assert_sound(attenuator_apply(0.5, rho).matrix, rho)
 
     def test_amplifier_finite_where_one_slope_overflows(self, monkeypatch):
-        # A 400-level state grows to 1808 levels, where one slope for the
-        # whole matrix leaves a factor near e^892.
-        rho = self.hermitian_state(400)
+        # A 600-level state grows to 1515 levels, where one slope for the
+        # whole matrix overflows.
+        rho = self.hermitian_state(600)
         out = amplifier_apply(2.0, rho).matrix
-        assert out.shape == (1808, 1808)
+        assert out.shape == (1515, 1515)
         self.assert_sound(out, rho)
         monkeypatch.setattr(channels, "_TILE", 1 << 20)  # one tile, one slope
         with np.errstate(over="ignore", invalid="ignore"):
-            one_slope = channels._atom_kernel(Amplifier(2.0), rho, 1808)
+            one_slope = channels._atom_kernel(Amplifier(2.0), rho, 1515)
         assert not np.all(np.isfinite(one_slope))
 
 

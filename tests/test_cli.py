@@ -193,7 +193,23 @@ class TestChannelCommand:
         chan.write_text(channel_text)
         assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
         assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
-        assert "cannot bound amplifier" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "amplifier(1e+300) of 1 live levels needs over 8192 levels" in err
+        assert "dense budget" in err
+
+    @pytest.mark.parametrize("channel_text", [
+        '{"kind": "amplifier", "kappa": Infinity}',
+        '{"kind": "additive_noise", "noise": Infinity}',
+        '{"kind": "inverse", "inner": {"kind": "attenuator", "lambda": 0.5}, '
+        '"epsilon": Infinity}',
+    ], ids=["kappa", "noise", "epsilon"])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, channel_text):
+        chan, state = tmp_path / "c.json", tmp_path / "s.json"
+        chan.write_text(channel_text)
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("channel", chan, state, "--out", tmp_path / "o.json") == 1
+        assert "finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "s.json"]
 
     @pytest.mark.parametrize("deep_file", ["c.json", "s.json"])
     def test_deeply_nested_json_exits_one(self, tmp_path, capsys, deep_file):
@@ -275,6 +291,22 @@ class TestDistCommand:
                    "--out", out) == 1
         assert "dense budget" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_state_on_a_grid_too_small_exits_one(self, tmp_path, capsys):
+        state, out = tmp_path / "c.json", tmp_path / "w.csv"
+        assert run("state", "coherent:2,0", "--dim", 40, "--out", state) == 0
+        assert run("dist", "W", state, "--grid-extent", 1, "--out", out) == 1
+        assert "enlarge or refine the grid" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_non_state_samples_without_the_trace_check(self, tmp_path):
+        # The parity operator is not trace class: its truncated trace is no
+        # target for the grid, so it samples on the default grid.
+        state, out = tmp_path / "p.json", tmp_path / "w.csv"
+        assert run("state", "parity:0,0", "--dim", 20, "--out", state) == 0
+        assert run("dist", "W", state, "--out", out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "w.csv",
+                                                              "w.meta.json"]
 
     def test_p_of_thermal_has_closed_form(self, tmp_path):
         state, out = tmp_path / "t.json", tmp_path / "p.csv"
