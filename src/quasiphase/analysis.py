@@ -14,11 +14,13 @@ verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
 image positivity) on a seeded state battery and reports deviations against
 per-check tolerances.  Checks are pure functions of the config and run one
-after another.  The battery, each state's smoothed and double-smoothed images, W
-of the smoothed image on the half-step grid (whose exact centre is the suite
-grid) and the smoothed parity kernels are built once per call, on first use,
-and shared.  The suite always completes, converting per-check exceptions into
-failed entries rather than aborting.
+after another.  The battery, each state's smoothed and double-smoothed images,
+W of the smoothed images on the half-step grid (whose exact centre is the
+suite grid) and the smoothed parity kernels are built once per call, on first
+use, and shared.  W grids are sampled a batch at a time, one batch per grid
+and family of operators, so each batch runs one beamsplitter-block recursion.
+The suite always completes, converting per-check exceptions into failed
+entries rather than aborting.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .fock import (
     thermal_state,
     trace_distance,
 )
-from .phasespace import PhaseGrid, _check_quadrature, sample, weierstrass
+from .phasespace import PhaseGrid, _check_quadrature, sample, sample_wigner, weierstrass
 
 __all__ = [
     "PSD_MARGIN_TOLERANCE",
@@ -307,15 +309,13 @@ def _halfstep_grid(config: VerifyConfig) -> PhaseGrid:
 
 @dataclass(frozen=True, eq=False)
 class _Ladder:
-    """One battery state and the rungs above it that several checks read.
+    """One battery state and the channel images above it that several checks read.
 
-    Each field is computed on first access; an access that raises is not
+    Each image is computed on first access; an access that raises is not
     cached, so every check that needs a failing rung records the error.
     """
 
     rho: object
-    grid: PhaseGrid
-    halfstep: PhaseGrid
 
     @cached_property
     def smoothed(self):
@@ -325,31 +325,17 @@ class _Ladder:
     def double_smoothed(self):
         return coherent_projection(self.rho, route="compose")
 
-    @cached_property
-    def w_halfstep(self):
-        return _image_wigner(self.smoothed, self.halfstep)
 
-    @cached_property
-    def w_smoothed(self):
-        n, m = self.grid.points_per_axis, self.halfstep.points_per_axis
-        keep = slice((m - n) // 2, (m + n) // 2)
-        if not np.array_equal(self.halfstep.axis_offsets()[keep], self.grid.axis_offsets()):
-            return _image_wigner(self.smoothed, self.grid)  # not the half-step grid's centre
-        w = replace(self.w_halfstep, grid=self.grid, values=self.w_halfstep.values[keep, keep])
-        # the image is a state: the cut must keep its mass, as sample checks
-        _check_quadrature(w.values, self.grid, "W", float(np.trace(self.smoothed.matrix).real))
-        return w
+def _image_wigners(images: list, grid: PhaseGrid) -> list:
+    """W of channel images, each held to the quadrature check `sample` gives a state.
 
-
-def _image_wigner(image: TruncatedOperator, grid: PhaseGrid):
-    """W of a channel image, held to the quadrature check `sample` gives a state.
-
-    `apply` returns a TruncatedOperator, so `sample` cannot know the image
-    is a state; the grid must still keep the image's whole trace.
+    `apply` returns a TruncatedOperator, so `sample_wigner` cannot know an
+    image is a state; the grid must still keep each image's whole trace.
     """
-    w = sample(image, "W", grid)
-    _check_quadrature(w.values, grid, "W", float(np.trace(image.matrix).real))
-    return w
+    ws = sample_wigner(images, grid)
+    for image, w in zip(images, ws):
+        _check_quadrature(w.values, grid, "W", float(np.trace(image.matrix).real))
+    return ws
 
 
 _PARITY_POINTS = (0.0, 0.5 + 0.2j, 1.5)
@@ -364,7 +350,7 @@ def _smooth_cropped(op: TruncatedOperator, work: int) -> TruncatedOperator:
 
 @dataclass(frozen=True, eq=False)
 class _Shared:
-    """One verify_suite call's battery ladders and parity rung.
+    """One verify_suite call's battery ladders, W of their smoothed images and parity rung.
 
     Like a `_Ladder` rung, each is built on first access and an access that
     raises is not cached, so every check that reads a failing one records
@@ -375,9 +361,30 @@ class _Shared:
 
     @cached_property
     def ladders(self) -> list:
-        grids = _grid_of(self.config), _halfstep_grid(self.config)
-        return [_Ladder(rho, *grids)
-                for rho in default_battery(self.config.dim, self.config.seed)]
+        return [_Ladder(rho) for rho in default_battery(self.config.dim, self.config.seed)]
+
+    @cached_property
+    def w_halfstep(self) -> list:
+        """W of each smoothed image on the half-step grid."""
+        return _image_wigners([rung.smoothed for rung in self.ladders],
+                              _halfstep_grid(self.config))
+
+    @cached_property
+    def w_smoothed(self) -> list:
+        """W of each smoothed image on the suite grid, cut from the half-step W's centre."""
+        grid, halfstep = _grid_of(self.config), _halfstep_grid(self.config)
+        n, m = grid.points_per_axis, halfstep.points_per_axis
+        keep = slice((m - n) // 2, (m + n) // 2)
+        if not np.array_equal(halfstep.axis_offsets()[keep], grid.axis_offsets()):
+            # not the half-step grid's centre
+            return _image_wigners([rung.smoothed for rung in self.ladders], grid)
+        out = []
+        for rung, w in zip(self.ladders, self.w_halfstep):
+            w = replace(w, grid=grid, values=w.values[keep, keep])
+            # the image is a state: the cut must keep its mass, as sample checks
+            _check_quadrature(w.values, grid, "W", float(np.trace(rung.smoothed.matrix).real))
+            out.append(w)
+        return out
 
     @cached_property
     def parity_smoothed(self) -> tuple:
@@ -386,10 +393,11 @@ class _Shared:
 
 
 def _check_husimi_equals_wigner_of_smoothed(config, shared):
+    grid = _grid_of(config)
     dev = 0.0
-    for rung in shared.ladders:
-        q = sample(rung.rho, "Q", rung.grid)
-        dev = max(dev, float(np.max(np.abs(q.values - rung.w_smoothed.values))))
+    for rung, w in zip(shared.ladders, shared.w_smoothed):
+        q = sample(rung.rho, "Q", grid)
+        dev = max(dev, float(np.max(np.abs(q.values - w.values))))
     return dev, None
 
 
@@ -400,9 +408,10 @@ def _check_weierstrass_halfstep_matches_smoothed_wigner(config, shared):
     grid = _halfstep_grid(config)
     mask = grid.interior_mask(2.0)
     dev = 0.0
-    for rung in shared.ladders:
-        lhs = weierstrass(sample(rung.rho, "W", grid), 0.5)
-        dev = max(dev, float(np.max(np.abs(lhs.values - rung.w_halfstep.values)[mask])))
+    w_states = sample_wigner([rung.rho for rung in shared.ladders], grid)
+    for w, smoothed in zip(w_states, shared.w_halfstep):
+        lhs = weierstrass(w, 0.5)
+        dev = max(dev, float(np.max(np.abs(lhs.values - smoothed.values)[mask])))
     return dev, None
 
 
@@ -481,17 +490,16 @@ def _check_photon_number_laws(config, shared):
 
 def _check_smoothed_image_wigner_positive(config, shared):
     dev = 0.0
-    for rung in shared.ladders:
-        values = rung.w_smoothed.values
-        dev = max(dev, max(0.0, -float(values.min())))
+    for w in shared.w_smoothed:
+        dev = max(dev, max(0.0, -float(w.values.min())))
     return dev, None
 
 
 def _check_double_smoothed_image_wigner_positive(config, shared):
+    images = [rung.double_smoothed for rung in shared.ladders]
     dev = 0.0
-    for rung in shared.ladders:
-        values = _image_wigner(rung.double_smoothed, rung.grid).values
-        dev = max(dev, max(0.0, -float(values.min())))
+    for w in _image_wigners(images, _grid_of(config)):
+        dev = max(dev, max(0.0, -float(w.values.min())))
     return dev, None
 
 

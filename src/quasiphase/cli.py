@@ -165,8 +165,9 @@ def _cmd_channel(args) -> int:
 
 def _cmd_dist(args) -> int:
     state = operator_from_json(_read_text(args.state))
-    try:  # a state's grid must keep its trace; a non-state (parity:) has none to keep
-        state = as_density(state)
+    try:  # a PSD file's grid must keep its trace, whatever it is; a non-PSD
+        # operator (parity:) has no trace to keep
+        state = as_density(state, trace_tolerance=float("inf"))
     except ValidationError:
         pass
     grid = PhaseGrid(half_extent=args.grid_extent, spacing=args.grid_step)

@@ -12,13 +12,23 @@ d^2alpha/pi integration convention so that densities integrate to 1:
 Point evaluators (`q_at`, `w_at`, `w_char_at`) are kept deliberately
 independent of the vectorized grid evaluators used by `sample`, so each can
 certify the other: `q_at` takes the exact coherent amplitudes and `w_at`
-builds the parity kernel by padded exponentiation.  The grid paths for Q and
-W share one kernel: both values are sums over the diagonal offsets e of
-u^e S_e(y) + (s u*)^e L_e(y), u = alpha/|alpha|, where S and L are real
-radial rows weighted by X's two e-diagonals, computed once per distinct
-y = |alpha|^2 (Laguerre recurrences for W, products of Poisson amplitudes for
-Q), and the phases are summed by Horner's rule.  The coherent-projection
-route of `channels` reads the same S and L as its angular harmonics.
+builds the parity kernel by padded exponentiation.
+
+Grid Q and the characteristic function of `w_char_at` share the radial
+kernel: both are sums over the diagonal offsets e of u^e S_e(y) +
+(s u*)^e L_e(y), u = alpha/|alpha|, where S and L are real radial rows
+weighted by X's two e-diagonals, computed once per distinct y = |alpha|^2
+(products of Poisson amplitudes for Q, Laguerre recurrences for the
+characteristic function), and the phases are summed by Horner's rule.  The
+coherent-projection route of `channels` reads the same S and L as its angular
+harmonics.
+
+Grid W takes the Hermite-Gauss mode converter instead (Beijersbergen et al.,
+Opt. Commun. 96, 123): a 50:50 beamsplitter maps the W of |m><n|, a
+Laguerre-Gauss mode, onto products of Hermite functions of the two grid
+axes, so W on a Cartesian grid is two GEMMs per operator.  The beamsplitter
+blocks do not depend on the operator; `sample_wigner` builds them once for a
+batch of operators that share a grid and keeps none of them past the call.
 
 The Weierstrass transform `weierstrass` smooths a sampled distribution with
 a Gaussian of variance t; t = 1/2 shifts P -> W -> Q one rung, t = 1 maps
@@ -55,6 +65,7 @@ __all__ = [
     "p_thermal_at",
     "recognize_gaussian_p",
     "sample",
+    "sample_wigner",
     "weierstrass",
     "integrate",
     "negativity",
@@ -63,6 +74,10 @@ __all__ = [
 
 GRID_TOLERANCE = 1e-3
 KINDS = ("P", "W", "Q")
+# Grid W reads psi_0(2x) = pi^(-1/4) exp(-2 x^2) along each axis; out to |x| =
+# W_REACH (18.8) it is a normal float, so every Hermite row keeps its full
+# relative precision.  Past it the rows underflow and W would come out wrong.
+W_REACH = 0.5 * math.sqrt(-2.0 * math.log(np.finfo(float).tiny * math.pi**0.25))
 # what recognize_gaussian_p allows off and along a thermal-form diagonal
 GAUSSIAN_DIAG_TOLERANCE = 1e-12
 GAUSSIAN_RATIO_TOLERANCE = 1e-10
@@ -347,26 +362,23 @@ def sample(x, kind: str, grid: PhaseGrid,
     """Evaluate one distribution of X on every grid point.
 
     For density inputs two invariants are enforced: Q stays within
-    [-1e-10, 1 + 1e-10], and the grid quadrature reproduces the trace within
-    GRID_TOLERANCE (raising GridTooSmallError otherwise).  P is available
-    only when a closed form exists: pass one explicitly via `p_form`, or let
-    the thermal form be recognized from the matrix; anything else raises
-    SingularPError.
+    [-1e-10, trace + 1e-10], and the grid quadrature reproduces the trace
+    within GRID_TOLERANCE (raising GridTooSmallError otherwise).  W is
+    `sample_wigner` of a batch of one.  P is available only when a closed
+    form exists: pass one explicitly via `p_form`, or let the thermal form be
+    recognized from the matrix; anything else raises SingularPError.
     """
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind == "W":
+        (dist,) = sample_wigner([x], grid)
+        return dist
     op = _as_operator(x)
-    mat = op.matrix
-    is_density = isinstance(x, DensityOperator)
     alphas = grid.alphas()
-    flat = alphas.ravel()
-
     if kind == "Q":
-        vals = _harmonic_fold(_trim_matrix(mat), flat, "Q")
-    elif kind == "W":
-        work = _trim_matrix(mat)
-        signs = np.where(np.arange(work.shape[0]) % 2 == 0, 1.0, -1.0)
-        vals = 2.0 * _harmonic_fold(signs[:, None] * work, 2.0 * flat, "W")
+        vals = _harmonic_fold(_trim_matrix(op.matrix), alphas, "Q")
+        _check_real("Q", vals.imag)
+        vals = vals.real
     else:
         form = p_form if p_form is not None else recognize_gaussian_p(op)
         if form is None:
@@ -376,26 +388,137 @@ def sample(x, kind: str, grid: PhaseGrid,
         if form.nbar <= 0.0:
             raise SingularPError(
                 "P is a delta distribution at nbar=0; sample W or Q instead")
-        y = np.abs(flat - form.center) ** 2
+        y = np.abs(alphas - form.center) ** 2
         vals = form.weight * np.exp(-y / form.nbar) / form.nbar
+    return _distribution(x, op, kind, grid, vals)
 
-    vals = np.asarray(vals)
-    if np.iscomplexobj(vals):
-        worst = float(np.max(np.abs(vals.imag)))
-        if worst > 1e-9:
-            raise ValidationError(
-                f"sampled {kind} values carry imaginary part {worst:.3e}")
-        vals = vals.real
-    values = vals.reshape(alphas.shape)
 
-    if is_density:
+def sample_wigner(xs, grid: PhaseGrid) -> list:
+    """W of every operator in the sequence `xs` on one grid, one QuasiDistribution each.
+
+    W(alpha) = 2 sqrt(pi) sum_ab C[a, b] psi_a(2 Re alpha) psi_b(2 Im alpha)
+    with psi the normalised Hermite functions, so each operator costs the
+    two GEMMs Psi_re^T C Psi_im.  One beamsplitter-block recursion
+    (`_mode_coefficients`) serves the whole batch.  Each operator is checked
+    as `sample` checks it.  A grid that reaches past W_REACH along either
+    axis raises ValidationError before anything is computed.
+    """
+    off = grid.axis_offsets()
+    axes = (grid.center.real + off, grid.center.imag + off)
+    reach = max(float(np.max(np.abs(axis))) for axis in axes)
+    if reach > W_REACH:
+        raise ValidationError(
+            f"W grids reach |Re alpha| and |Im alpha| up to {W_REACH:.2f}; this "
+            f"grid reaches {reach:.6g}")
+    ops = [_as_operator(x) for x in xs]
+    mats = [_trim_matrix(op.matrix) for op in ops]
+    dim = max((mat.shape[0] for mat in mats), default=1)
+    count = 2 * dim - 1
+    # the stacked inputs and C (16 bytes an entry), both axes' Hermite rows and
+    # the widest block
+    _check_dense_budget(
+        16 * len(mats) * (dim * dim + count * count) + 16 * count * off.size
+        + 8 * dim * dim,
+        f"W of {len(mats)} operators of {dim} levels on {off.size} x {off.size} points")
+    coeffs = _mode_coefficients(mats, dim)
+    re_rows, im_rows = (_hermite_rows(2.0 * axis, count) for axis in axes)
+    out = []
+    for x, op, c in zip(xs, ops, coeffs):
+        k = c.shape[1]
+        vals = re_rows[:k].T @ c @ im_rows[:k]  # Re W and Im W, over 2 sqrt(pi)
+        _check_real("W", vals[1])
+        out.append(_distribution(x, op, "W", grid, (2.0 * math.sqrt(math.pi)) * vals[0]))
+    return out
+
+
+def _hermite_rows(t: np.ndarray, count: int) -> np.ndarray:
+    """psi_k(t) for 0 <= k < count, the normalised Hermite functions.
+
+    The three-term recurrence psi_(k+1) = sqrt(2/(k+1)) t psi_k -
+    sqrt(k/(k+1)) psi_(k-1) never leaves |psi| <= 1.09 pi^(-1/4).
+    """
+    rows = np.empty((count, t.size))
+    rows[0] = math.pi**-0.25 * np.exp(-0.5 * t * t)
+    for k in range(count - 1):
+        np.multiply(t, math.sqrt(2.0 / (k + 1)), out=rows[k + 1])
+        rows[k + 1] *= rows[k]
+        if k:
+            rows[k + 1] -= math.sqrt(k / (k + 1)) * rows[k - 1]
+    return rows
+
+
+def _beamsplitter_blocks(dim: int):
+    """Yield B_N for N = 0 .. 2 dim - 2, keeping its columns N - dim < m < dim.
+
+    B_N is the 50:50 beamsplitter on the N-photon block: its column m is
+    |m, N - m> in the number basis of the modes u, v = (1 +- 2)/sqrt(2).
+    Each block comes from the last by the coupling step |m, n> = (sqrt(m)
+    a1^dag |m-1, n> + sqrt(n) a2^dag |m, n-1>) / N, a1,2^dag = (au^dag +-
+    av^dag)/sqrt(2), whose coefficients are bounded (Risbo, J. Geodesy 70,
+    383); the ladder step a1^dag |m-1, n> / sqrt(m) is not stable.  Columns
+    outside the kept range would pair with levels at or past dim.
+    """
+    roots = np.sqrt(np.arange(2 * dim - 1))
+    block = np.ones((1, 1))
+    yield block
+    for n in range(1, 2 * dim - 1):
+        # the last block's columns lo - 1 .. hi, zero where it has none
+        prev = np.zeros((n, block.shape[1] + 2))
+        prev[:, 1:-1] = block
+        m, s = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1), int(n >= dim)
+        up = prev[:, s:s + m.size] * roots[m]  # sqrt(m) |m-1, n-m>
+        down = prev[:, s + 1:s + 1 + m.size] * roots[n - m]  # sqrt(n-m) |m, n-m-1>
+        block = np.zeros((n + 1, m.size))
+        block[1:] += roots[1:n + 1, None] * (up + down)  # au^dag
+        block[:n] += roots[n:0:-1, None] * (up - down)  # av^dag
+        block *= 1.0 / (n * math.sqrt(2.0))
+        yield block
+
+
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
+
+
+def _mode_coefficients(mats: list, dim: int) -> list:
+    """C[a, b] = (-i)^b sum_m B_N[a, m] X[m, N - m], N = a + b, for each X.
+
+    Each C comes as its real and imaginary parts, shape (2, K, K) with K =
+    2 live - 1: X's antidiagonals, hence C, vanish past N = 2 (live - 1).
+    One pass over `_beamsplitter_blocks` serves every X.
+    """
+    stack = np.zeros((len(mats), dim, dim), dtype=np.complex128)
+    for x, mat in zip(stack, mats):
+        x[:mat.shape[0], :mat.shape[0]] = mat
+    flipped = stack[:, :, ::-1]  # the antidiagonal N of X is a diagonal of its flip
+    coeffs = [np.zeros((2,) + (2 * mat.shape[0] - 1,) * 2) for mat in mats]
+    for n, block in enumerate(_beamsplitter_blocks(dim)):
+        anti = np.diagonal(flipped, dim - 1 - n, axis1=1, axis2=2)  # X[m, n - m]
+        sums = np.concatenate([anti.real, anti.imag]) @ block.T
+        a = np.arange(n + 1)
+        phased = (sums[:len(mats)] + 1j * sums[len(mats):]) * _MINUS_I_POWERS[(n - a) % 4]
+        for c, re, im in zip(coeffs, phased.real, phased.imag):
+            if n < c.shape[1]:
+                c[:, a, n - a] = re, im
+    return coeffs
+
+
+def _check_real(kind: str, imag: np.ndarray) -> None:
+    worst = float(np.max(np.abs(imag)))
+    if worst > 1e-9:
+        raise ValidationError(f"sampled {kind} values carry imaginary part {worst:.3e}")
+
+
+def _distribution(x, op, kind: str, grid: PhaseGrid, vals) -> QuasiDistribution:
+    """Real samples of X, held to the invariants `sample` promises a state."""
+    if isinstance(x, DensityOperator):
+        trace = float(np.trace(op.matrix).real)
         if kind == "Q":
-            lo, hi = float(values.min()), float(values.max())
-            if lo < -1e-10 or hi > 1.0 + 1e-10:
+            lo, hi = float(vals.min()), float(vals.max())
+            if lo < -1e-10 or hi > trace + 1e-10:
                 raise ValidationError(
-                    f"Husimi samples outside [0, 1]: min {lo:.3e}, max {hi:.3e}")
-        _check_quadrature(values, grid, kind, float(np.trace(mat).real))
-    return QuasiDistribution(grid=grid, kind=kind, values=values, source_label=op.label)
+                    f"Husimi samples outside [0, {trace:.6g}]: min {lo:.3e}, "
+                    f"max {hi:.3e}")
+        _check_quadrature(vals, grid, kind, trace)
+    return QuasiDistribution(grid=grid, kind=kind, values=vals, source_label=op.label)
 
 
 def _check_quadrature(values: np.ndarray, grid: PhaseGrid, kind: str, target: float):

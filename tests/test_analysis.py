@@ -286,15 +286,15 @@ class TestVerifySuite:
         centre = big.alphas()[pad:pad + n, pad:pad + n]
         assert np.array_equal(centre, analysis._grid_of(config).alphas())
 
-    def test_sliced_wigner_keeps_the_quadrature_check(self):
+    def test_sliced_wigner_keeps_the_quadrature_check(self, monkeypatch):
         # W of the smoothed vacuum, exp(-|a|^2), keeps its mass on the
         # half-step grid (R = 2.75) but loses 7% of it on the suite grid.
-        config = VerifyConfig(dim=20, grid_extent=1.5, grid_step=0.05)
-        rung = analysis._Ladder(fock_state(0, 20), analysis._grid_of(config),
-                                analysis._halfstep_grid(config))
-        assert integrate(rung.w_halfstep) == pytest.approx(1.0, abs=1e-3)
+        monkeypatch.setattr(analysis, "default_battery", lambda dim, seed: [fock_state(0, dim)])
+        shared = analysis._Shared(VerifyConfig(dim=20, grid_extent=1.5, grid_step=0.05))
+        (w,) = shared.w_halfstep
+        assert integrate(w) == pytest.approx(1.0, abs=1e-3)
         with pytest.raises(GridTooSmallError):
-            rung.w_smoothed
+            shared.w_smoothed
 
     def test_double_smoothed_wigner_keeps_the_quadrature_check(self):
         # At R = 4.5 the W of a double-smoothed battery image loses 2.0e-3
@@ -305,23 +305,23 @@ class TestVerifySuite:
         assert not check.passed
         assert check.note.startswith("GridTooSmallError")
 
-    def test_halfstep_wigner_keeps_the_quadrature_check(self):
+    def test_halfstep_wigner_keeps_the_quadrature_check(self, monkeypatch):
         # The half-step grid of R = 0.5, h = 0.25 reaches 1.75: its
         # quadrature of W of the smoothed vacuum, exp(-|a|^2), gives 0.985.
-        config = VerifyConfig(dim=20, grid_extent=0.5, grid_step=0.25)
-        rung = analysis._Ladder(fock_state(0, 20), analysis._grid_of(config),
-                                analysis._halfstep_grid(config))
+        monkeypatch.setattr(analysis, "default_battery", lambda dim, seed: [fock_state(0, dim)])
+        shared = analysis._Shared(VerifyConfig(dim=20, grid_extent=0.5, grid_step=0.25))
         with pytest.raises(GridTooSmallError):
-            rung.w_halfstep
+            shared.w_halfstep
 
-    def test_off_lattice_suite_grid_is_sampled(self):
+    def test_off_lattice_suite_grid_is_sampled(self, monkeypatch):
         # 2R/h = 42.86: the suite grid's offsets j h - R are not among the
         # half-step grid's, so its W is sampled rather than sliced.
+        monkeypatch.setattr(analysis, "default_battery", lambda dim, seed: [fock_state(1, dim)])
         config = VerifyConfig(dim=20, grid_extent=3.0, grid_step=0.14)
-        grid = analysis._grid_of(config)
-        rung = analysis._Ladder(fock_state(1, 20), grid, analysis._halfstep_grid(config))
-        direct = analysis.sample(rung.smoothed, "W", grid)
-        assert np.array_equal(rung.w_smoothed.values, direct.values)
+        shared = analysis._Shared(config)
+        (w,) = shared.w_smoothed
+        direct = analysis.sample(shared.ladders[0].smoothed, "W", analysis._grid_of(config))
+        assert np.array_equal(w.values, direct.values)
 
     @pytest.mark.parametrize("only", [None, ("smoothed_image_wigner_positive",)])
     def test_smoothed_ladder_built_once_per_state(self, monkeypatch, only):
@@ -330,7 +330,7 @@ class TestVerifySuite:
         # smoothed parity is built once, however many checks read them.
         batteries, applied, projected, sampled, parities = [], [], [], [], []
         original_battery = analysis.default_battery
-        original_apply, original_sample = analysis.apply, analysis.sample
+        original_apply, original_wigner = analysis.apply, analysis.sample_wigner
         original_projection = analysis.coherent_projection
         original_parity = analysis.displaced_parity
 
@@ -348,9 +348,9 @@ class TestVerifySuite:
             projected.append((x, route, out))
             return out
 
-        def counting_sample(x, kind, grid, *args, **kwargs):
-            sampled.append((x, kind, grid))
-            return original_sample(x, kind, grid, *args, **kwargs)
+        def counting_wigner(xs, grid):
+            sampled.extend(xs)
+            return original_wigner(xs, grid)
 
         def counting_parity(alpha, dim):
             parities.append((alpha, dim))
@@ -359,13 +359,13 @@ class TestVerifySuite:
         monkeypatch.setattr(analysis, "default_battery", battery)
         monkeypatch.setattr(analysis, "apply", counting_apply)
         monkeypatch.setattr(analysis, "coherent_projection", counting_projection)
-        monkeypatch.setattr(analysis, "sample", counting_sample)
+        monkeypatch.setattr(analysis, "sample_wigner", counting_wigner)
         monkeypatch.setattr(analysis, "displaced_parity", counting_parity)
         config = VerifyConfig(only=only, **REDUCED)
         assert verify_suite(config).passed
 
         def w_samples_of(image):
-            return sum(1 for x, kind, _ in sampled if kind == "W" and x is image)
+            return sum(1 for x in sampled if x is image)
 
         (states,) = batteries
         double = 1 if only is None else 0

@@ -16,7 +16,14 @@ from quasiphase.channels import (
 )
 from quasiphase.cli import main, parse_state_spec
 from quasiphase.errors import SpecParseError
-from quasiphase.fock import operator_from_json, thermal_state, trace_distance
+from quasiphase.fock import (
+    TruncatedOperator,
+    coherent_state,
+    operator_from_json,
+    operator_to_json,
+    thermal_state,
+    trace_distance,
+)
 
 
 def run(*argv) -> int:
@@ -298,6 +305,26 @@ class TestDistCommand:
         assert run("dist", "W", state, "--grid-extent", 1, "--out", out) == 1
         assert "enlarge or refine the grid" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("weight", [0.5, 2.0])
+    def test_psd_file_of_any_trace_keeps_the_grid_check(self, tmp_path, capsys, weight):
+        # weight x the coherent projector at alpha = 2: PSD with trace weight,
+        # of which the R = 1 grid keeps 1.2%
+        state, out = tmp_path / "c.json", tmp_path / "w.csv"
+        projector = weight * coherent_state(2.0, 40)[0].matrix
+        state.write_text(operator_to_json(TruncatedOperator(projector)), encoding="utf-8")
+        assert run("dist", "W", state, "--grid-extent", 1, "--out", out) == 1
+        assert "enlarge or refine the grid" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("kind", ["W", "Q"])
+    def test_psd_file_integrates_to_its_own_trace(self, tmp_path, kind):
+        # Q of twice a coherent projector peaks at 2, inside [0, trace]
+        state, out = tmp_path / "c.json", tmp_path / "d.csv"
+        projector = 2.0 * coherent_state(2.0, 40)[0].matrix
+        state.write_text(operator_to_json(TruncatedOperator(projector)), encoding="utf-8")
+        assert run("dist", kind, state, "--out", out) == 0
+        assert read_json(tmp_path / "d.meta.json")["integral"] == pytest.approx(2.0, abs=1e-3)
 
     def test_non_state_samples_without_the_trace_check(self, tmp_path):
         # The parity operator is not trace class: its truncated trace is no

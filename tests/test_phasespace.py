@@ -1,10 +1,11 @@
 """Tests for grid distributions.
 
-The two Wigner routes are independent by construction (padded-exponential
-parity kernel vs diagonal recurrences vs characteristic-function quadrature)
-and are cross-checked here; number-state closed forms pin both absolutely.
+The Wigner routes are independent by construction (padded-exponential
+parity kernel vs Hermite-Gauss grid vs characteristic-function quadrature)
+and are cross-checked here; number-state closed forms pin them absolutely.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_laguerre
 
-from quasiphase import fock
+from quasiphase import analysis, fock
 from quasiphase import phasespace as ps
 from quasiphase.errors import (BudgetError, GridTooSmallError, SingularPError,
                                ValidationError)
@@ -290,9 +291,96 @@ class TestSample:
         dist = ps.sample(op, "Q", tight)  # trace 2, small grid: no raise
         assert np.isfinite(dist.values).all()
 
+    def test_non_hermitian_w_raises(self):
+        op = fock.TruncatedOperator(NON_HERMITIAN)
+        with pytest.raises(ValidationError, match="sampled W values carry imaginary part"):
+            ps.sample(op, "W", CENTRED)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValidationError):
             ps.sample(fock.fock_state(0, 8), "R", DESK)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this route must not be reached")
+
+
+class TestHermiteRoute:
+    def test_blocks_stay_orthogonal(self):
+        # the coupling step keeps B_312 orthogonal; the ladder step is off by 6e10
+        block = next(itertools.islice(ps._beamsplitter_blocks(313), 312, None))
+        assert block.shape == (313, 313)
+        assert np.max(np.abs(block.T @ block - np.eye(313))) < 1e-13
+
+    def test_battery_and_smoothed_images_match_the_point_route(self):
+        shared = analysis._Shared(analysis.VerifyConfig())
+        ops = ([fock._as_operator(rung.rho) for rung in shared.ladders]
+               + [rung.smoothed for rung in shared.ladders])
+        grid = ps.PhaseGrid(center=0.37 - 0.21j, half_extent=1.3, spacing=0.13)
+        alphas = grid.alphas()
+        for op, dist in zip(ops, ps.sample_wigner(ops, grid)):
+            for idx in [(0, 0), (10, 10), (3, 17), (20, 6)]:
+                assert abs(dist.values[idx] - ps.w_at(op, alphas[idx])) < 1e-12
+
+    def test_batch_matches_batches_of_one(self):
+        ops = [fock.fock_state(1, 12).matrix, fock.coherent_state(0.8j, 40)[0].matrix]
+        batch = ps.sample_wigner(ops, CENTRED)
+        for op, dist in zip(ops, batch):
+            assert_allclose(dist.values, ps.sample(op, "W", CENTRED).values,
+                            rtol=0, atol=1e-15)
+
+    def test_non_hermitian_operator_in_a_batch_raises(self):
+        ops = [fock.fock_state(0, 4).matrix, fock.TruncatedOperator(NON_HERMITIAN)]
+        with pytest.raises(ValidationError, match="sampled W values carry imaginary part"):
+            ps.sample_wigner(ops, CENTRED)
+
+    def test_coherent_state_at_centre_twelve(self):
+        state = fock.coherent_state(12.0, 260)[0]
+        grid = ps.PhaseGrid(center=12.0, half_extent=0.5, spacing=0.25)
+        dist = ps.sample(state.op, "W", grid)
+        exact = 2.0 * np.exp(-2.0 * np.abs(grid.alphas() - 12.0) ** 2)
+        assert np.max(np.abs(dist.values - exact)) < 1e-12
+        assert abs(dist.values[2, 2] - ps.w_at(state, 12.0)) < 1e-12
+
+    @pytest.mark.parametrize("center,extent", [(20.0, 1.0), (19.0, 1.0), (18.35, 0.5),
+                                               (18j, 1.0), (-18.85 + 1j, 0.05)])
+    def test_grid_past_the_reach_raises(self, monkeypatch, center, extent):
+        monkeypatch.setattr(ps, "_mode_coefficients", _raise)
+        grid = ps.PhaseGrid(center=center, half_extent=extent, spacing=0.05)
+        with pytest.raises(ValidationError, match="up to 18.82"):
+            ps.sample(fock.coherent_state(0.5, 16)[0], "W", grid)
+
+    def test_grid_at_the_reach_samples(self):
+        grid = ps.PhaseGrid(center=18.3 - 18.3j, half_extent=0.5, spacing=0.25)
+        dist = ps.sample(fock.fock_state(3, 8).matrix, "W", grid)
+        assert ps.W_REACH == pytest.approx(18.816, abs=1e-3)
+        assert np.array_equal(dist.values, np.zeros((5, 5)))
+
+    def test_working_set_over_the_budget_raises(self, monkeypatch):
+        ops = [fock.fock_state(15, 16).matrix, fock.fock_state(3, 16).matrix]
+        dim, count, points = 16, 31, CENTRED.points_per_axis
+        needed = 16 * 2 * (dim * dim + count * count) + 16 * count * points + 8 * dim * dim
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", needed - 1)
+        with pytest.raises(BudgetError) as info:
+            ps.sample_wigner(ops, CENTRED)
+        assert info.value.required_bytes == needed
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", needed)
+        assert len(ps.sample_wigner(ops, CENTRED)) == 2
+
+    def test_grid_w_never_reads_the_radial_kernel(self, monkeypatch):
+        monkeypatch.setattr(ps, "_harmonic_fold", _raise)
+        monkeypatch.setattr(ps, "_radial_sums", _raise)
+        dist = ps.sample(fock.fock_state(1, 16), "W", DESK)
+        assert np.max(np.abs(dist.values - wigner_fock_oracle(1, DESK.alphas()))) < 1e-10
+
+    def test_w_char_at_never_reads_the_hermite_route(self, monkeypatch):
+        monkeypatch.setattr(ps, "_hermite_rows", _raise)
+        monkeypatch.setattr(ps, "_mode_coefficients", _raise)
+        monkeypatch.setattr(ps, "_beamsplitter_blocks", _raise)
+        state = fock.fock_state(1, 16)
+        betagrid = ps.PhaseGrid(half_extent=5.0, spacing=0.05)
+        assert ps.w_char_at(state, 0.3, betagrid) == pytest.approx(
+            ps.w_at(state, 0.3), abs=5e-3)
 
 
 EVALUATORS = pytest.mark.parametrize("evaluate", [
