@@ -21,11 +21,12 @@ against each other:
   traced out afterwards.
 
 Trace bookkeeping: amplification grows support, so outputs default to the
-fewest levels that leak at most GROWTH_TAIL of a unit trace
+fewest levels that leak at most ULP_TAIL of a unit trace
 (`_amplifier_grown_dim`); a PSD input that still loses trace beyond
 tolerance raises TraceLeakError (non-trace-class inputs like the parity
-operator are exempt, their truncated trace legitimately moves).  A dilation raises it
-too when population reaches a chain its system register cuts.
+operator are exempt, their truncated trace legitimately moves).  The
+squeezer's ancilla holds the same growth; population at its cut raises
+AncillaTailError.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
@@ -55,6 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .fock import (
+    ULP_TAIL,
     TruncatedOperator,
     _as_operator,
     _check_dense_budget,
@@ -94,9 +96,6 @@ __all__ = [
 ]
 
 KRAUS_TOLERANCE = 1e-10
-# Tail mass the amplifier's default output may discard from a unit trace:
-# one ulp of 1.0, no more than the rounding of the trace's own sum.
-GROWTH_TAIL = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ def _looks_psd(mat: np.ndarray) -> bool:
 
 @lru_cache(maxsize=256)
 def _amplifier_grown_dim(kappa: float, live: int) -> int:
-    """Fewest output levels that leak at most GROWTH_TAIL of a unit trace.
+    """Fewest output levels that leak at most ULP_TAIL of a unit trace.
 
     The amplifier moves level m up by a negative-binomial count of m + 1
     successes at probability 1/kappa, so the top live level m = live - 1
@@ -254,7 +253,7 @@ def _amplifier_grown_dim(kappa: float, live: int) -> int:
     def tail_at(dim: int) -> float:
         return 1.0 if dim < live else float(nbdtrc(dim - live, live, 1.0 / kappa))
 
-    return _required_dim(tail_at, GROWTH_TAIL, f"amplifier({kappa}) of {live} live levels")
+    return _required_dim(tail_at, ULP_TAIL, f"amplifier({kappa}) of {live} live levels")
 
 
 def _amplifier_default_dim(kappa: float, mat: np.ndarray) -> int:
@@ -408,7 +407,7 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None,
     B[j] = ((kappa-1)/kappa)^j / (kappa j!) and c[q] = kappa^(-q/2) /
     sqrt(q!), so the lower-triangular Toeplitz B contracts every input
     diagonal at once, in balanced tiles (`_toeplitz_apply`).  The default
-    output dim is the fewest levels that leak at most GROWTH_TAIL of a
+    output dim is the fewest levels that leak at most ULP_TAIL of a
     unit trace (`_amplifier_grown_dim`).  PSD inputs that still lose more
     than `trace_tolerance` trace raise TraceLeakError naming the deficit.
     """
@@ -508,8 +507,8 @@ def _live_block(x) -> tuple[TruncatedOperator, np.ndarray]:
     return op, op.matrix[:live, :live]  # dead levels only waste register space
 
 
-def _dilated_action(coupling, shift: int, mat: np.ndarray, sys_dim: int,
-                    anc_dim: int, tail_tolerance: float, what: str) -> np.ndarray:
+def _dilated_action(coupling, shift: int, mat: np.ndarray, anc_dim: int,
+                    tail_tolerance: float, what: str) -> np.ndarray:
     """U (X (x) |0><0|) U^dag traced over the ancilla, one chain per input level.
 
     The generator conserves a sector, so U|m,0> stays on the chain whose
@@ -517,77 +516,68 @@ def _dilated_action(coupling, shift: int, mat: np.ndarray, sys_dim: int,
     amplitude from site k to site k+1.  There the generator is
     diag(i^k) (-iS) diag(i^-k), S real symmetric tridiagonal with those
     amplitudes, so the column of |m,0> is i^k times the first row of
-    exp(-iS).  The register cuts a chain where the next amplitude is
-    nonzero; the population reaching such a cut must stay below
-    `tail_tolerance` (AncillaTailError at the ancilla's top level,
-    TraceLeakError at the system's).
+    exp(-iS).  A beamsplitter's chain (shift -1) ends by itself at k = m; a
+    squeezer's (shift 1) is cut at the ancilla's top level, where population
+    above `tail_tolerance` raises AncillaTailError.
     """
     live = mat.shape[0]
-    if sys_dim < live or anc_dim < 1:
-        raise ValidationError(f"registers of sys_dim {sys_dim} and anc_dim {anc_dim} "
-                              f"cannot hold the live input block {live}")
+    if anc_dim < 1:
+        raise ValidationError(f"anc_dim must be positive, got {anc_dim}")
+    dim_out = live + anc_dim - 1 if shift > 0 else live
+    _check_dense_budget(16 * dim_out * dim_out, f"{what} output of {dim_out} levels")
     amps = np.zeros((live, anc_dim), dtype=np.complex128)
-    tops = np.zeros(2)  # population at ancilla cuts, at system cuts
+    top = 0.0  # population at ancilla cuts
     for m in range(live):
-        sites = min(anc_dim, sys_dim - m if shift > 0 else m + 1)
+        sites = anc_dim if shift > 0 else m + 1
         row = _tridiagonal_expm_rows(sites, lambda k: coupling(m + shift * k, k), 1)[0]
         amps[m, :sites] = row * _I_POWERS[np.arange(sites) % 4]
         if coupling(m + shift * (sites - 1), sites - 1) != 0.0:
-            tops[int(sites < anc_dim)] += mat[m, m].real * abs(amps[m, sites - 1]) ** 2
-    out = np.zeros((sys_dim, sys_dim), dtype=np.complex128)
+            top += mat[m, m].real * abs(amps[m, sites - 1]) ** 2
+    out = np.zeros((dim_out, dim_out), dtype=np.complex128)
     for k in range(anc_dim):  # out[m+shift k, n+shift k] += c_m[k] X[m,n] c_n[k]*
         lo = max(0, -shift * k)
-        hi = max(lo, min(live, sys_dim - shift * k))
-        w = amps[lo:hi, k]
-        out[lo + shift * k:hi + shift * k, lo + shift * k:hi + shift * k] += (
-            np.outer(w, w.conj()) * mat[lo:hi, lo:hi])
-    anc_top, sys_top = np.abs(tops) / max(1.0, abs(float(np.trace(mat).real)))
-    if anc_top > tail_tolerance:
-        raise AncillaTailError(f"{what}: ancilla top level holds {anc_top:.3e}; "
-                               f"enlarge anc_dim", tail_mass=float(anc_top))
-    if sys_top > tail_tolerance:
-        raise TraceLeakError(f"{what}: system top level holds {sys_top:.3e}; enlarge "
-                             f"sys_dim", deficit=float(sys_top), dim_out=sys_dim)
+        w = amps[lo:, k]
+        out[lo + shift * k:live + shift * k, lo + shift * k:live + shift * k] += (
+            np.outer(w, w.conj()) * mat[lo:, lo:])
+    top = abs(top) / max(1.0, abs(float(np.trace(mat).real)))
+    if top > tail_tolerance:
+        raise AncillaTailError(f"{what}: ancilla top level holds {top:.3e}; "
+                               f"enlarge anc_dim", tail_mass=float(top))
     return out
 
 
-def amplifier_dilated(kappa: float, x, sys_dim: int | None = None,
-                      anc_dim: int | None = None,
+def amplifier_dilated(kappa: float, x, anc_dim: int | None = None,
                       tail_tolerance: float = 1e-8) -> TruncatedOperator:
     """Two-mode squeezer with vacuum ancilla; the independent amplifier oracle.
 
     exp(r (a_s^dag a_a^dag - a_s a_a)) conserves n_s - n_a, so |m,0> stays on
-    |m+k, k> with amplitudes r sqrt((m+k+1)(k+1)), and the register cuts
-    every chain.  The default sys_dim, live + anc_dim, leaves every cut to
-    the ancilla.
+    |m+k, k> with amplitudes r sqrt((m+k+1)(k+1)).  The ancilla counts the
+    photons added, so by default it holds the kernel's own growth,
+    `_amplifier_default_dim` - live + 1 levels, and the output has the
+    kernel's default dim, live + anc_dim - 1.
     """
     kappa = Amplifier(kappa).kappa
     op, mat = _live_block(x)
     if anc_dim is None:
-        anc_dim = int(math.ceil((kappa - 1.0) * mat.shape[0])) + 40
+        anc_dim = _amplifier_default_dim(kappa, mat) - mat.shape[0] + 1
     r = math.acosh(math.sqrt(kappa))
     out = _dilated_action(lambda n, k: r * np.sqrt((n + 1.0) * (k + 1.0)), 1, mat,
-                          mat.shape[0] + anc_dim if sys_dim is None else sys_dim,
                           anc_dim, tail_tolerance, f"amplifier_dilated({kappa})")
     return TruncatedOperator(out, label=f"amplifier_dilated({kappa})[{op.label}]")
 
 
-def attenuator_dilated(lam: float, x, sys_dim: int | None = None,
-                       anc_dim: int | None = None,
-                       tail_tolerance: float = 1e-8) -> TruncatedOperator:
+def attenuator_dilated(lam: float, x) -> TruncatedOperator:
     """Beamsplitter with vacuum ancilla; the independent attenuator oracle.
 
     exp(theta (a_s^dag a_a - a_s a_a^dag)) conserves n_s + n_a, so |m,0>
-    stays on |m-k, k> with amplitudes -theta sqrt((m-k)(k+1)).  The chain
-    ends at k = m, so the default registers (the live block) are exact.
+    stays on |m-k, k> with amplitudes -theta sqrt((m-k)(k+1)), ending at
+    k = m, so registers of the live block cut no chain.
     """
     lam = Attenuator(lam).transmissivity
     op, mat = _live_block(x)
     theta = math.acos(math.sqrt(lam))
     out = _dilated_action(lambda n, k: -theta * np.sqrt(n * (k + 1.0)), -1, mat,
-                          mat.shape[0] if sys_dim is None else sys_dim,
-                          mat.shape[0] if anc_dim is None else anc_dim,
-                          tail_tolerance, f"attenuator_dilated({lam})")
+                          mat.shape[0], math.inf, f"attenuator_dilated({lam})")
     return TruncatedOperator(out, label=f"attenuator_dilated({lam})[{op.label}]")
 
 

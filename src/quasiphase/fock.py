@@ -5,11 +5,11 @@ Hilbert space.  A matrix X represents the number-basis block <m|X|n> for
 m, n < N.  Truncation is never silent: constructors that can estimate their
 own tail mass (coherent, thermal) either stay within the tail tolerance or
 raise TruncationError with the dimension that would suffice (BudgetError
-when no dimension within the dense budget would), and unitaries
-built from exponentials are synthesized on a padded space before cropping.
-The displacement here and the channel dilations' squeezer and beamsplitter
-have generators that are real tridiagonal up to a diagonal phase; one
-helper, `_tridiagonal_expm_rows`, exponentiates all three.
+when no dimension within the dense budget would).  The displacement here
+and the channel dilations' squeezer and beamsplitter have generators that
+are real tridiagonal up to a diagonal phase; one helper,
+`_tridiagonal_expm_rows`, exponentiates all three, each on a register
+that `_required_dim` sizes to leave at most ULP_TAIL.
 
 Conventions: the annihilation matrix has sqrt(n) on the first superdiagonal,
 a[n-1, n] = sqrt(n); the displaced parity operator carries the factor 2,
@@ -44,7 +44,6 @@ __all__ = [
     "coherent_tail",
     "coherent_state",
     "displacement_matrix",
-    "displacement_pad",
     "thermal_state",
     "displaced_parity",
     "random_density",
@@ -70,6 +69,8 @@ HERMITIAN_TOLERANCE = 1e-12
 PSD_TOLERANCE = 1e-10
 TAIL_TOLERANCE = 1e-8
 TRACE_TOLERANCE = 1e-8
+# Error a register's cut may leave in a unit trace or a unitary: one ulp of 1.0
+ULP_TAIL = float(np.finfo(float).eps)
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -282,19 +283,6 @@ def thermal_state(nbar: float, dim: int) -> DensityOperator:
     )
 
 
-def displacement_pad(radius: float) -> int:
-    """Padding levels for synthesizing D(beta) with |beta| = radius.
-
-    The quadratic term tracks the level spread of the exponential; the +8
-    floor keeps the retained-block corner at machine accuracy for small
-    radius, where the quadratic alone under-pads.
-    """
-    levels = 8.0 * radius * radius + 6.0 * radius
-    if not math.isfinite(levels):
-        raise ValidationError(f"displacement radius {radius} has no finite padding")
-    return int(math.ceil(levels)) + 8
-
-
 def _tridiagonal_expm_rows(n: int, off, rows: int) -> np.ndarray:
     """First `rows` rows of exp(-iS), S the n-level real symmetric tridiagonal
     with zero diagonal and off-diagonal off(k) between sites k and k+1:
@@ -305,49 +293,71 @@ def _tridiagonal_expm_rows(n: int, off, rows: int) -> np.ndarray:
     return (v[:rows] * np.exp(-1j * w)) @ v.T
 
 
-def _displacement_rows(beta: complex, work_dim: int, rows: int) -> np.ndarray:
-    """First `rows` rows of D(beta) = exp(beta a^dag - beta* a) on `work_dim` levels.
+def _displacement_register(beta: complex, rows: int) -> int:
+    """Levels on which the first `rows` rows of D(beta) are exact to ULP_TAIL.
+
+    Cutting the chain at n levels drops the coupling |beta| sqrt(n), so to
+    first order (Duhamel) row m errs by at most |beta| sqrt(n) |<n|D|m>|,
+    and |<n|D|m>| <= |beta|^k sqrt(n!/m!) / k!, k = n - m, by
+    |L_m^(k)(x)| <= C(m+k, m) e^(x/2) (Abramowitz & Stegun 22.14.13).  A
+    step up in m scales it by k / (|beta| sqrt(m+1)), below 1 only where the
+    top row's bound exceeds 1, so below 1 the top row m = rows - 1 is the
+    worst.  A step up in n scales that by |beta| (n+1) / (sqrt(n) (k+1)),
+    which falls with n and is below 1 wherever the bound is.
+    """
+    r = abs(beta)
+    if not math.isfinite(r):
+        raise ValidationError(f"displacement radius {r} must be finite")
+
+    def tail_at(n: int) -> float:
+        if n < rows:
+            return math.inf
+        k = n - rows + 1
+        log_bound = ((k + 1) * math.log(r) + 0.5 * math.log(n)
+                     + 0.5 * (math.lgamma(n + 1) - math.lgamma(rows)) - math.lgamma(k + 1))
+        # a bound past 1 says nothing more, and exp of it may overflow
+        return math.exp(min(0.0, log_bound))
+
+    return _required_dim(tail_at, ULP_TAIL, f"displacement |beta|={r} of {rows} rows")
+
+
+def _displacement_rows(beta: complex, rows: int) -> np.ndarray:
+    """First `rows` rows of D(beta) = exp(beta a^dag - beta* a) on
+    `_displacement_register`'s levels; D(0) is exactly the identity.
 
     i(beta a^dag - beta* a) = P S P^dag with P = diag(e^(ik(arg beta + pi/2)))
     and S real symmetric tridiagonal with off-diagonal |beta| sqrt(k).
     """
-    e = _tridiagonal_expm_rows(work_dim, lambda k: abs(beta) * np.sqrt(k + 1.0), rows)
-    phase = np.exp(1j * np.arange(work_dim) * (np.angle(beta) + 0.5 * math.pi))
+    if beta == 0.0:
+        return np.eye(rows, dtype=np.complex128)
+    work = _displacement_register(beta, rows)
+    e = _tridiagonal_expm_rows(work, lambda k: abs(beta) * np.sqrt(k + 1.0), rows)
+    phase = np.exp(1j * np.arange(work) * (np.angle(beta) + 0.5 * math.pi))
     return phase[:rows, None] * e * phase.conj()
 
 
 def displacement_matrix(beta: complex, dim: int) -> TruncatedOperator:
-    """Displacement operator block, synthesized padded and cropped to `dim`.
-
-    The padded exponential keeps the retained block accurate.
-    """
+    """Displacement operator block, exact to ULP_TAIL (`_displacement_rows`)."""
     dim = _check_dim(dim)
     beta = complex(beta)
-    work = dim + displacement_pad(abs(beta))
-    rows = _displacement_rows(beta, work, dim)
-    return TruncatedOperator(np.ascontiguousarray(rows[:, :dim]),
+    return TruncatedOperator(_displacement_rows(beta, dim)[:, :dim],
                              label=f"displacement({beta})")
 
 
 def displaced_parity(alpha: complex, dim: int) -> TruncatedOperator:
     """Displaced parity observable 2 D(alpha) (-1)^n D(alpha)^dag.
 
-    Built on a padded space before cropping.  Its expectation in a state is
-    the Wigner function at alpha (vacuum peak 2).  Not trace class: the
-    truncated trace oscillates with dim and is reported as computed, never
-    asserted.
+    Summed over the columns of D(alpha)'s first `dim` rows
+    (`_displacement_rows`).  Its expectation in a state is the Wigner
+    function at alpha (vacuum peak 2).  Not trace class: the truncated trace
+    oscillates with dim and is reported as computed, never asserted.
     """
     dim = _check_dim(dim)
     alpha = complex(alpha)
-    if alpha == 0.0:
-        signs = np.where(np.arange(dim) % 2 == 0, 2.0, -2.0)
-        return TruncatedOperator(np.diag(signs).astype(np.complex128),
-                                 label="parity(0)")
-    # Element-wise this operator equals 2 D(2 alpha) (-1)^n, so the padding
-    # budget is that of a displacement at twice the radius.
-    work = dim + displacement_pad(2.0 * abs(alpha))
-    d = _displacement_rows(alpha, work, dim)
-    signs = np.where(np.arange(work) % 2 == 0, 2.0, -2.0)
+    d = _displacement_rows(alpha, dim)
+    signs = np.where(np.arange(d.shape[1]) % 2 == 0, 2.0, -2.0)
+    if alpha == 0.0:  # D(0) is the identity, so this is the parity itself
+        return TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity(0)")
     block = (d * signs) @ d.conj().T
     block = 0.5 * (block + block.conj().T)  # exact operator is Hermitian
     return TruncatedOperator(block, label=f"parity({alpha})")

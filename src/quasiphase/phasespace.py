@@ -12,7 +12,7 @@ d^2alpha/pi integration convention so that densities integrate to 1:
 Point evaluators (`q_at`, `w_at`, `w_char_at`) are kept deliberately
 independent of the vectorized grid evaluators used by `sample`, so each can
 certify the other: `q_at` takes the exact coherent amplitudes and `w_at`
-builds the parity kernel by padded exponentiation.
+builds the parity kernel by exponentiation on a sized register.
 
 Grid Q and the characteristic function of `w_char_at` share the radial
 kernel: both are sums over the diagonal offsets e of u^e S_e(y) +
@@ -207,7 +207,7 @@ def q_at(x, alpha: complex) -> float:
 
 
 def w_at(x, alpha: complex) -> float:
-    """Tr[X pi(alpha)] with the parity kernel built by padded exponentiation."""
+    """Tr[X pi(alpha)] with the parity kernel of `fock.displaced_parity`."""
     mat = _as_operator(x).matrix
     kernel = displaced_parity(alpha, mat.shape[0]).matrix
     val = complex(np.sum(mat * kernel.T))

@@ -309,10 +309,7 @@ def test_criterion_10_independent_route_agreement():
     for n in range(9):
         state = fock.fock_state(n, DIM)
         amp = channels.amplifier_apply(2.0, state)
-        # Headroom beyond the default register heuristic: the squeezer pushes
-        # the ancilla population up with the amplified photon number.
-        amp_two_mode = channels.amplifier_dilated(2.0, state,
-                                                  anc_dim=4 * (n + 1) + 48)
+        amp_two_mode = channels.amplifier_dilated(2.0, state)
         dev_dilated = max(dev_dilated,
                           fock.trace_distance(amp, amp_two_mode))
         att = channels.attenuator_apply(0.5, state)

@@ -46,6 +46,7 @@ from quasiphase.errors import (
 )
 from quasiphase.fock import (
     DENSE_BUDGET_BYTES,
+    ULP_TAIL,
     TruncatedOperator,
     coherent_state,
     crop,
@@ -188,7 +189,7 @@ class TestGrowthRule:
     @pytest.mark.parametrize("kappa,live", CASES)
     def test_default_dim_is_the_first_below_the_tolerance(self, kappa, live):
         dim = amplifier_apply(kappa, fock_state(live - 1, live)).dim
-        tol = channels.GROWTH_TAIL
+        tol = ULP_TAIL
         assert negative_binomial_tail(kappa, live, dim) <= tol * (1.0 + 1e-6)
         assert negative_binomial_tail(kappa, live, dim - 1) > tol * (1.0 - 1e-6)
 
@@ -450,8 +451,7 @@ class TestDilations:
     def test_amplifier_oracle_equivalence(self, kappa):
         for name, state in battery(40):
             kernel = amplifier_apply(kappa, state)
-            dilated = amplifier_dilated(kappa, state.op if hasattr(state, "op") else state,
-                                        sys_dim=kernel.dim)
+            dilated = amplifier_dilated(kappa, state.op if hasattr(state, "op") else state)
             assert trace_distance(kernel, dilated) < 1e-6, name
 
     @pytest.mark.parametrize("lam", [0.7, 0.5])
@@ -469,8 +469,8 @@ class TestDilations:
         assert trace_distance(att, rho) < 1e-10
 
     def test_amplified_vacuum_thermal(self):
-        out = amplifier_dilated(2.0, fock_state(0, 4).op, sys_dim=48, anc_dim=32)
-        expected = thermal_state(1.0, 48)
+        out = amplifier_dilated(2.0, fock_state(0, 4).op)
+        expected = thermal_state(1.0, out.dim)
         assert trace_distance(out, expected) < 1e-6
 
     def test_amplified_coherent_is_displaced_thermal(self):
@@ -484,50 +484,73 @@ class TestDilations:
         assert trace_distance(out, thermal_state(0.5, 40)) < 1e-8
 
     def test_ancilla_tail_error(self):
-        with pytest.raises(AncillaTailError):
-            amplifier_dilated(2.0, coherent_state(1.0, 16)[0].op,
-                              sys_dim=40, anc_dim=3)
-
-    def test_system_cut_raises_trace_leak(self):
         # The truncated register evolution is unitary, so no trace goes
         # missing; what shows the cut is the population at its top level.
+        with pytest.raises(AncillaTailError):
+            amplifier_dilated(2.0, coherent_state(1.0, 16)[0].op, anc_dim=3)
+
+    def test_ancilla_over_the_budget_raises_before_allocating(self):
+        # One live level on 9000 ancilla levels: a 9000-level output register.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                amplifier_dilated(2.0, fock_state(0, 4).op, anc_dim=9000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 16 * 9000**2
+        assert peak < 1e6
+
+    def test_unit_gain_keeps_the_live_block(self):
+        # At kappa = 1 nothing moves, so registers of the live block are exact.
         rho = random_density(40, 3, support=10, rng=2)
-        with pytest.raises(TraceLeakError):
-            amplifier_dilated(2.0, rho.op, sys_dim=12)
-        # At kappa = 1 nothing moves, so a register of the live block is exact.
-        assert trace_distance(amplifier_dilated(1.0, rho.op, sys_dim=10), rho) < 1e-14
+        out = amplifier_dilated(1.0, rho.op)
+        assert out.dim == 10
+        assert trace_distance(out, rho) < 1e-14
+
+    def test_default_ancilla_holds_a_wide_random_state(self):
+        # 40 live levels at kappa = 2: the ancilla must grow with the input.
+        rho = random_density(40, 3, rng=1)
+        kernel = amplifier_apply(2.0, rho)
+        dilated = amplifier_dilated(2.0, rho.op)
+        assert dilated.dim == kernel.dim
+        assert trace_distance(kernel, dilated) < 1e-12
 
 
 class TestDilationsAgainstDenseRegister:
     """The per-chain exponentials against expm of the literal two-mode
-    generator on a small sys x anc register, vacuum ancilla traced out."""
+    generator on a small sys x anc register, vacuum ancilla traced out.
+    SYS = LIVE + ANC holds every squeezer chain of ANC ancilla levels."""
 
-    SYS = ANC = 12
+    LIVE, ANC = 6, 12
+    SYS = LIVE + ANC
 
     def register_image(self, generator, rho: np.ndarray) -> np.ndarray:
-        a = np.diag(np.sqrt(np.arange(1.0, self.SYS)), k=1)
-        a_s, a_a = np.kron(a, np.eye(self.ANC)), np.kron(np.eye(self.SYS), a)
+        a_sys = np.diag(np.sqrt(np.arange(1.0, self.SYS)), k=1)
+        a_anc = np.diag(np.sqrt(np.arange(1.0, self.ANC)), k=1)
+        a_s, a_a = np.kron(a_sys, np.eye(self.ANC)), np.kron(np.eye(self.SYS), a_anc)
         u = scipy.linalg.expm(generator(a_s, a_a))
         cols = u[:, ::self.ANC][:, :rho.shape[0]]  # U|m,0>
         v = cols.reshape(self.SYS, self.ANC, rho.shape[0])
         return np.einsum("sam,mn,zan->sz", v, rho, v.conj())
 
     def test_squeezer(self):
-        rho = random_density(6, rank=2, rng=21).matrix
+        rho = random_density(self.LIVE, rank=2, rng=21).matrix
         r = math.acosh(math.sqrt(1.5))
         expected = self.register_image(lambda s, a: r * (s.T @ a.T - s @ a), rho)
-        # This register cuts every chain with population left; the reference
+        # This ancilla cuts every chain with population left; the reference
         # is the same truncated evolution, so only the tail check is lifted.
-        out = amplifier_dilated(1.5, rho, sys_dim=self.SYS, anc_dim=self.ANC,
-                                tail_tolerance=math.inf)
-        assert np.max(np.abs(out.matrix - expected)) < 1e-13
+        out = amplifier_dilated(1.5, rho, anc_dim=self.ANC, tail_tolerance=math.inf)
+        assert out.dim == self.SYS - 1
+        assert embedded_max_diff(out, TruncatedOperator(expected)) < 1e-13
 
     def test_beamsplitter(self):
-        rho = random_density(6, rank=2, rng=21).matrix
+        rho = random_density(self.LIVE, rank=2, rng=21).matrix
         theta = math.acos(math.sqrt(0.3))
         expected = self.register_image(lambda s, a: theta * (s.T @ a - s @ a.T), rho)
-        out = attenuator_dilated(0.3, rho, sys_dim=self.SYS, anc_dim=self.ANC)
-        assert np.max(np.abs(out.matrix - expected)) < 1e-13
+        out = attenuator_dilated(0.3, rho)
+        assert out.dim == self.LIVE
+        assert embedded_max_diff(out, TruncatedOperator(expected)) < 1e-13
 
 
 class TestApply:

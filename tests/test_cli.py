@@ -101,8 +101,8 @@ class TestStateCommand:
     @pytest.mark.parametrize("spec,dim", [
         ("coherent:inf,0", 64), ("coherent:1e200,0", 64), ("coherent:1e154,0", 64),
         ("thermal:1e17", 64), ("thermal:1e300", 64),
-        # the padded displacement of parity:25 would take 3.08 GiB
-        ("parity:25,0", 8), ("parity:1e10,0", 64), ("parity:inf,0", 64),
+        # the displacement register of parity:100 needs over 8192 levels
+        ("parity:100,0", 8), ("parity:1e10,0", 64), ("parity:inf,0", 64),
         ("parity:nan,0", 64),
     ])
     def test_extreme_values_exit_one_before_allocating(self, tmp_path, capsys, spec, dim):

@@ -2,7 +2,7 @@
 
 Displacement matrices are checked against the closed-form Laguerre matrix
 elements, coherent tails against explicit Poisson partial sums; both are
-computed here independently of the library's padded-exponential path.
+computed here independently of the library's tridiagonal exponential.
 """
 
 import math
@@ -150,17 +150,22 @@ class TestDisplacement:
         d = fock.displacement_matrix(1.0, 48).matrix
         assert_allclose(d[:, 0], fock.coherent_amplitudes(1.0, 48), atol=1e-10)
 
-    @pytest.mark.parametrize("beta", [0.7, 0.3 - 1.1j, 1.8j])
-    def test_matches_laguerre_closed_form(self, beta):
-        dim = 24
+    @pytest.mark.parametrize("beta, dim, tol", [
+        pytest.param(0.7, 24, 1e-10, id="0.7"),
+        pytest.param(0.3 - 1.1j, 24, 1e-10, id="(0.3-1.1j)"),
+        pytest.param(1.8j, 24, 1e-10, id="1.8j"),
+        # the register must grow with dim, not only with the radius
+        pytest.param(0.5, 300, 1e-12, id="0.5-dim300"),
+    ])
+    def test_matches_laguerre_closed_form(self, beta, dim, tol):
         d = fock.displacement_matrix(beta, dim).matrix
-        assert np.max(np.abs(d - displacement_oracle(beta, dim))) < 1e-10
+        assert np.max(np.abs(d - displacement_oracle(beta, dim))) < tol
 
     @pytest.mark.parametrize("beta", [1.3 - 0.8j, -2.0j])
     def test_matches_dense_expm(self, beta):
-        # expm of the literal generator on the same padded space, then cropped
+        # expm of the literal generator on a wide register, then cropped
         dim = 30
-        work = dim + fock.displacement_pad(abs(beta))
+        work = dim + 200
         a = np.diag(np.sqrt(np.arange(1.0, work)), k=1)
         expected = scipy.linalg.expm(beta * a.T - np.conj(beta) * a)[:dim, :dim]
         d = fock.displacement_matrix(beta, dim).matrix
@@ -221,8 +226,14 @@ class TestThermal:
 
 class TestDisplacedParity:
     def test_at_origin_is_signed_diagonal(self):
-        p = fock.displaced_parity(0.0, 6).matrix
-        assert_allclose(p, np.diag([2.0, -2.0, 2.0, -2.0, 2.0, -2.0]))
+        # `state parity:0,0` writes this operator, so its label and its
+        # entries, signed zeros included, are part of the file.
+        p = fock.displaced_parity(0j, 6)
+        exact = np.diag([2.0, -2.0, 2.0, -2.0, 2.0, -2.0]).astype(np.complex128)
+        assert p.label == "parity(0)"
+        assert np.array_equal(p.matrix, exact)
+        assert np.array_equal(np.signbit(p.matrix.real), np.signbit(exact.real))
+        assert not np.signbit(p.matrix.imag).any()
 
     def test_matches_double_displacement_identity(self):
         # 2 D(a) (-1)^n D(a)^dag = 2 D(2a) (-1)^n, an exact operator identity.

@@ -1,6 +1,6 @@
 """Tests for grid distributions.
 
-The Wigner routes are independent by construction (padded-exponential
+The Wigner routes are independent by construction (tridiagonal-exponential
 parity kernel vs Hermite-Gauss grid vs characteristic-function quadrature)
 and are cross-checked here; number-state closed forms pin them absolutely.
 """
@@ -166,7 +166,7 @@ class TestRecognizeGaussianP:
 
 
 def _displacement_trace_oracle(mat, betas):
-    """Tr[X D(beta)] point by point from the padded displacement matrices."""
+    """Tr[X D(beta)] point by point from the displacement matrices."""
     dim = mat.shape[0]
     return np.array([np.sum(mat * fock.displacement_matrix(b, dim).matrix.T)
                      for b in betas.ravel()]).reshape(betas.shape)
