@@ -48,6 +48,7 @@ from .fock import (
     TruncatedOperator,
     _as_operator,
     _check_dense_budget,
+    _count,
     as_density,
     coherent_state,
     crop,
@@ -255,8 +256,8 @@ class VerifyConfig:
         # parity checks work at 4 dim.
         _check_dense_budget(
             16 * max(10 * dim**2, (4 * dim) ** 2),
-            f"the verify suite at dim {dim} (ten battery states of "
-            f"{16 * dim**2:,} bytes each, parity checks at dim {4 * dim})")
+            f"the verify suite at dim {_count(dim)} (ten battery states of "
+            f"{_count(16 * dim**2)} bytes each, parity checks at dim {_count(4 * dim)})")
         _grid_of(self)  # PhaseGrid validates the geometry
         _halfstep_grid(self)  # the largest grid the suite samples fits the budget
         names = set(CHECK_NAMES)
@@ -344,7 +345,7 @@ _PARITY_POINTS = (0.0, 0.5 + 0.2j, 1.5)
 def _smooth_cropped(op: TruncatedOperator, work: int) -> TruncatedOperator:
     # Crop the amplifier output at the construction dim: levels above the
     # input dim are contaminated by the operator's missing tail.
-    step = amplifier_apply(2.0, op, dim_out=work, trace_tolerance=None)
+    step = amplifier_apply(2.0, op, dim_out=work)
     return attenuator_apply(0.5, step)
 
 
@@ -456,7 +457,7 @@ def _check_amplified_parity_is_half_vacuum(config, shared):
     parity = TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity")
     # Levels below the input dim receive their complete alternating sums;
     # everything above is missing-tail junk, so compare on the input block.
-    out = crop(amplifier_apply(2.0, parity, trace_tolerance=None), dim)
+    out = crop(amplifier_apply(2.0, parity), dim)
     target = np.zeros((dim, dim), dtype=np.complex128)
     target[0, 0] = 0.5
     return trace_distance(out, TruncatedOperator(target)), None

@@ -3,7 +3,7 @@
 Every error carries enough context to act on: truncation errors report the
 tail mass and a dimension that would satisfy the tolerance, grid errors
 report the offending boundary value, budget errors the bytes a request needs,
-inverse errors carry the partial result.
+trace leaks the deficit and the output dimension that lost it.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ class AncillaTailError(QuasiphaseError):
     def __init__(self, message: str, tail_mass: float):
         super().__init__(message)
         self.tail_mass = tail_mass
-
-
-class IllConditionedInverseError(QuasiphaseError):
-    """A regularized channel inverse could not meet the requested residual.
-
-    The partial result is attached so callers can still inspect it.
-    """
-
-    def __init__(self, message: str, residual: float, result=None):
-        super().__init__(message)
-        self.residual = residual
-        self.result = result
 
 
 class SpecParseError(QuasiphaseError, ValueError):

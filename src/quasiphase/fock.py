@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -166,8 +167,9 @@ class DensityOperator:
 def _check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {dim!r}")
-    _check_dense_budget(16 * int(dim) ** 2, f"a {dim} x {dim} complex matrix")
-    return int(dim)
+    dim = int(dim)
+    _check_dense_budget(16 * dim**2, f"a {_count(dim)} x {_count(dim)} complex matrix")
+    return dim
 
 
 def annihilation_matrix(dim: int) -> TruncatedOperator:
@@ -462,8 +464,8 @@ def crop(op: TruncatedOperator, dim: int) -> TruncatedOperator:
     return TruncatedOperator(np.ascontiguousarray(op.matrix[:dim, :dim]), label=op.label)
 
 
-def trim_dim(x, tol: float = 1e-14) -> int:
-    """Smallest dim whose discarded rows and columns are all below `tol`."""
+def trim_dim(x, tol: float) -> int:
+    """Smallest dim whose discarded rows and columns are all below the absolute `tol`."""
     mat = _as_operator(x).matrix
     row = np.max(np.abs(mat), axis=1)
     col = np.max(np.abs(mat), axis=0)
@@ -508,10 +510,19 @@ def _json_number(value):
     return value
 
 
+def _count(n) -> str:
+    """n as 1,234,567, or from 10^16 on as 1.235e+16.
+
+    Decimal, not float(): a count from user input can pass the float range,
+    and str() of an int past 4300 digits raises.
+    """
+    return f"{Decimal(n):.3e}" if n >= 10**16 else f"{n:,}"
+
+
 def _check_dense_budget(nbytes: int, what: str) -> None:
     if nbytes > DENSE_BUDGET_BYTES:
         raise BudgetError(
-            f"{what} needs {nbytes:,} bytes, over the dense budget of "
+            f"{what} needs {_count(nbytes)} bytes, over the dense budget of "
             f"{DENSE_BUDGET_BYTES:,} bytes",
             required_bytes=nbytes, budget_bytes=DENSE_BUDGET_BYTES)
 
@@ -520,7 +531,7 @@ def operator_from_json(text: str | bytes) -> TruncatedOperator:
     """Parse the interchange form produced by operator_to_json, from text or bytes."""
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int literal past 4300 digits
         raise ValidationError(f"operator JSON is malformed: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("operator JSON is nested too deeply") from exc

@@ -49,7 +49,7 @@ from .errors import (
     SingularPError,
     ValidationError,
 )
-from .fock import (DensityOperator, _as_operator, _check_dense_budget,
+from .fock import (DensityOperator, _as_operator, _check_dense_budget, _count,
                    coherent_amplitudes, displaced_parity, trim_dim)
 
 __all__ = [
@@ -109,7 +109,7 @@ class PhaseGrid:
         # budget before int() sees it
         n = (self.points_per_axis
              if math.isfinite(2.0 * self.half_extent / self.spacing) else math.inf)
-        _check_dense_budget(16 * n * n, f"phase grid of {n} x {n} points")
+        _check_dense_budget(16 * n * n, f"phase grid of {_count(n)} x {_count(n)} points")
 
     @property
     def points_per_axis(self) -> int:
@@ -166,17 +166,16 @@ class QuasiDistribution:
 
 @dataclass(frozen=True)
 class GaussianP:
-    """Closed-form P of a displaced thermal state: (1/nbar) exp(-|a-c|^2/nbar)."""
+    """Closed-form P of a thermal state: (weight/nbar) exp(-|a|^2/nbar)."""
 
     nbar: float
-    center: complex = 0j
     weight: float = 1.0
 
     def value_at(self, alpha: complex) -> float:
         if self.nbar <= 0.0:
             raise SingularPError(
                 "P is a delta distribution at nbar=0; no function values exist")
-        y = abs(complex(alpha) - complex(self.center)) ** 2
+        y = abs(complex(alpha)) ** 2
         return self.weight * math.exp(-y / self.nbar) / self.nbar
 
 
@@ -357,16 +356,15 @@ def _trim_matrix(mat: np.ndarray) -> np.ndarray:
     return mat[:keep, :keep]
 
 
-def sample(x, kind: str, grid: PhaseGrid,
-           p_form: GaussianP | None = None) -> QuasiDistribution:
+def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
     """Evaluate one distribution of X on every grid point.
 
     For density inputs two invariants are enforced: Q stays within
     [-1e-10, trace + 1e-10], and the grid quadrature reproduces the trace
     within GRID_TOLERANCE (raising GridTooSmallError otherwise).  W is
-    `sample_wigner` of a batch of one.  P is available only when a closed
-    form exists: pass one explicitly via `p_form`, or let the thermal form be
-    recognized from the matrix; anything else raises SingularPError.
+    `sample_wigner` of a batch of one.  P is available only where X itself
+    has a closed form: the thermal form `recognize_gaussian_p` finds in the
+    matrix; anything else raises SingularPError.
     """
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -380,7 +378,7 @@ def sample(x, kind: str, grid: PhaseGrid,
         _check_real("Q", vals.imag)
         vals = vals.real
     else:
-        form = p_form if p_form is not None else recognize_gaussian_p(op)
+        form = recognize_gaussian_p(op)
         if form is None:
             raise SingularPError(
                 "no closed-form P available for this operator; its P "
@@ -388,7 +386,7 @@ def sample(x, kind: str, grid: PhaseGrid,
         if form.nbar <= 0.0:
             raise SingularPError(
                 "P is a delta distribution at nbar=0; sample W or Q instead")
-        y = np.abs(alphas - form.center) ** 2
+        y = np.abs(alphas) ** 2
         vals = form.weight * np.exp(-y / form.nbar) / form.nbar
     return _distribution(x, op, kind, grid, vals)
 

@@ -90,8 +90,7 @@ def test_criterion_02_doubling_amplifier_on_vacuum_and_parity():
     parity = fock.TruncatedOperator(np.diag(signs).astype(np.complex128), label="parity")
     # Levels below the input dim receive complete alternating sums; above
     # them the image reflects only the truncated input, so compare there.
-    img = fock.crop(channels.amplifier_apply(2.0, parity,
-                                             trace_tolerance=None), DIM)
+    img = fock.crop(channels.amplifier_apply(2.0, parity), DIM)
     target = np.zeros((DIM, DIM), dtype=np.complex128)
     target[0, 0] = 0.5
     dev_parity = fock.trace_distance(img, fock.TruncatedOperator(target))
@@ -137,8 +136,7 @@ PARITY_ALPHAS = (0.0, 0.5 + 0.2j, -0.8 + 0.3j, 1.06 + 1.06j, 1.5)
 def _smoothed_capped(op: fock.TruncatedOperator, work: int):
     # Crop the amplifier output at the construction dim: levels above it
     # reflect the input operator's missing tail, not the channel.
-    step = channels.amplifier_apply(2.0, op, dim_out=work,
-                                    trace_tolerance=None)
+    step = channels.amplifier_apply(2.0, op, dim_out=work)
     return channels.attenuator_apply(0.5, step)
 
 

@@ -98,6 +98,14 @@ class TestStateCommand:
         assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dim_past_the_int_string_limit_exits_one(self, tmp_path, capsys):
+        # 16 dim^2 has 5002 digits, more than str() converts from an int
+        out = tmp_path / "big.json"
+        assert run("state", "vacuum", "--dim", "9" * 2500, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "1.600e+5001 bytes" in err and len(err) < 300
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec,dim", [
         ("coherent:inf,0", 64), ("coherent:1e200,0", 64), ("coherent:1e154,0", 64),
         ("thermal:1e17", 64), ("thermal:1e300", 64),
@@ -179,6 +187,9 @@ class TestChannelCommand:
         ('{"kind": "compose", "items": 5}', None),
         (None, '{"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}'),
         ('{"kind": "amplifier", "kappa": true}', None),
+        # int literals past the 4300 digits Python converts
+        ('{"kind": "amplifier", "kappa": 1' + "0" * 5000 + "}", None),
+        (None, '{"dim": 1' + "0" * 5000 + ', "re": [], "im": []}'),
     ])
     def test_malformed_json_exits_one(self, tmp_path, capsys, channel_text,
                                       state_text):
@@ -299,6 +310,16 @@ class TestDistCommand:
         assert "dense budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_astronomic_grid_counts_print_in_e_notation(self, tmp_path, capsys):
+        # 4e301 points a side; the byte count alone would run to 605 digits
+        state, out = tmp_path / "v.json", tmp_path / "w.csv"
+        assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
+        assert run("dist", "W", state, "--grid-extent", "1e300", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "4.000e+301 x 4.000e+301 points needs 2.560e+604 bytes" in err
+        assert len(err) < 300
+        assert not out.exists()
+
     def test_state_on_a_grid_too_small_exits_one(self, tmp_path, capsys):
         state, out = tmp_path / "c.json", tmp_path / "w.csv"
         assert run("state", "coherent:2,0", "--dim", 40, "--out", state) == 0
@@ -383,6 +404,12 @@ class TestVerifyCommand:
     def test_dim_over_the_budget_exits_one(self, tmp_path, capsys):
         assert run("verify", "--dim", 100_000, "--out", tmp_path) == 1
         assert f"{16 * 100_000**2:,} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_dim_past_the_int_string_limit_exits_one(self, tmp_path, capsys):
+        assert run("verify", "--dim", "9" * 2500, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "states of 1.600e+5001 bytes each" in err and len(err) < 300
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_subnormal_step_exits_one(self, tmp_path, capsys):

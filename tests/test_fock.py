@@ -109,6 +109,11 @@ class TestDenseBudget:
         assert info.value.budget_bytes == fock.DENSE_BUDGET_BYTES
         assert peak < 1e6
 
+    def test_numpy_dim_past_the_comma_range_prints_in_e_notation(self):
+        with pytest.raises(BudgetError) as info:
+            fock.fock_state(0, np.int64(10**17))
+        assert "a 1.000e+17 x 1.000e+17 complex matrix needs 1.600e+35 bytes" in str(info.value)
+
 
 class TestCoherent:
     def test_alpha_zero_is_vacuum(self):
@@ -276,7 +281,7 @@ class TestRandomDensity:
         state = fock.random_density(32, rank=3, support=10, rng=11)
         eigs = np.linalg.eigvalsh(state.matrix)
         assert np.sum(eigs > 1e-12) == 3
-        assert fock.trim_dim(state) <= 10
+        assert fock.trim_dim(state, 1e-14) <= 10
         assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-13)
 
     def test_seed_reproducible(self):
@@ -320,10 +325,10 @@ class TestShapeTools:
 
     def test_trim_dim_finds_live_block(self):
         state = fock.fock_state(2, 32)
-        assert fock.trim_dim(state) == 3
+        assert fock.trim_dim(state, 1e-14) == 3
 
     def test_trim_dim_floor_is_one(self):
-        assert fock.trim_dim(np.zeros((6, 6), dtype=complex)) == 1
+        assert fock.trim_dim(np.zeros((6, 6), dtype=complex), 1e-14) == 1
 
     def test_mean_photon_rejects_rotating_diagonal(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,14 @@
-"""No module in src/ or tests/ imports a name it never uses, and no private
-top-level function or class in src/ goes unread.
+"""No module in src/ or tests/ imports a name it never uses, no private
+top-level function or class in src/ goes unread, and src/ grows no default
+outside an explicit allow-list.
 
 Stdlib AST scans.  An import binding counts as used when its name is read
 anywhere in the module, appears in a string annotation, or is re-exported
 through `__all__`.  A private definition counts as read when a src/ module
 loads its name, reads it as an attribute or imports it, outside the
-definition's own body.
+definition's own body.  Every defaulted parameter and dataclass field
+default is a setting a caller can change, so a new one shows up here as an
+edit to the allow-list.
 """
 
 import ast
@@ -108,3 +111,68 @@ def test_the_scan_sees_an_unread_private_definition():
         "b": ast.parse("from a import _used\n_used()\n"),
     }
     assert unread_private_definitions(modules) == [("a", 4, "_self_only"), ("a", 7, "_Unread")]
+
+
+def defaults(module: str, tree: ast.Module) -> tuple[list, list]:
+    """module.function(param) of each defaulted parameter, and
+    module.Class.field of each dataclass field with a default."""
+    params, fields = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            params += [f"{module}.{node.name}({arg.arg})" for arg in named]
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in names_read(d) for d in node.decorator_list):
+            fields += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
+    return params, fields
+
+
+ALLOWED_PARAMETERS = [
+    "analysis.classicality_check(epsilon)", "analysis.classicality_check(work_dim)",
+    "analysis.nonclassicality_score(epsilon)", "analysis.nonclassicality_score(work_dim)",
+    "analysis.nonclassicality_profile(epsilons)", "analysis.nonclassicality_profile(work_dim)",
+    "analysis.default_battery(dim)", "analysis.default_battery(seed)",
+    "analysis.verify_suite(config)",
+    "channels.amplifier_apply(dim_out)",
+    "channels.amplifier_dilated(anc_dim)", "channels.amplifier_dilated(tail_tolerance)",
+    "channels.coherent_projection(route)",
+    "channels.inverse_apply(epsilon)",
+    "cli.main(argv)",
+    "fock.random_density(support)", "fock.random_density(rng)",
+]
+ALLOWED_FIELDS = [
+    "analysis.CheckResult.note",
+    "analysis.VerifyConfig.dim", "analysis.VerifyConfig.grid_extent",
+    "analysis.VerifyConfig.grid_step", "analysis.VerifyConfig.seed",
+    "analysis.VerifyConfig.tolerances", "analysis.VerifyConfig.only",
+    "channels.Inverse.epsilon",
+    "fock.TruncatedOperator.label", "fock.DensityOperator.trace_tolerance",
+    "phasespace.PhaseGrid.center", "phasespace.PhaseGrid.half_extent",
+    "phasespace.PhaseGrid.spacing",
+    "phasespace.QuasiDistribution.source_label",
+    "phasespace.GaussianP.weight",
+]
+
+
+def test_every_default_is_allowed():
+    params, fields = [], []
+    for path in SOURCES:
+        found = defaults(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        params += found[0]
+        fields += found[1]
+    assert sorted(params) == sorted(ALLOWED_PARAMETERS)
+    assert sorted(fields) == sorted(ALLOWED_FIELDS)
+
+
+def test_the_scan_sees_every_default():
+    tree = ast.parse("from dataclasses import dataclass, field\n"
+                     "def f(a, b=1, *, c, d=2):\n    pass\n"
+                     "def g(a, /, b=3):\n    pass\n"
+                     "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+                     "    z: list = field(default_factory=list)\n"
+                     "class B:\n    w: int = 1\n")
+    assert defaults("m", tree) == (["m.f(b)", "m.f(d)", "m.g(b)"], ["m.A.y", "m.A.z"])

@@ -273,13 +273,6 @@ class TestSample:
         with pytest.raises(SingularPError):
             ps.sample(fock.fock_state(0, 16), "P", DESK)
 
-    def test_explicit_displaced_thermal_form(self):
-        form = ps.GaussianP(nbar=0.5, center=1.0)
-        dist = ps.sample(fock.fock_state(0, 4), "P", DESK, p_form=form)
-        al = DESK.alphas()
-        assert_allclose(dist.values, 2.0 * np.exp(-2.0 * np.abs(al - 1.0) ** 2),
-                        atol=1e-12)
-
     def test_quadrature_invariant_catches_small_grid(self):
         tight = ps.PhaseGrid(half_extent=2.0, spacing=0.05)
         with pytest.raises(GridTooSmallError):
