@@ -59,6 +59,8 @@ from .fock import (
     TruncatedOperator,
     _as_operator,
     _check_dense_budget,
+    _check_dim,
+    _count,
     _json_number,
     _required_dim,
     _tridiagonal_expm_rows,
@@ -461,8 +463,8 @@ def attenuator_kraus(lam: float, dim: int) -> KrausSet:
     """Kraus matrices K_j = sum_n sqrt(binom(n,j)) lam^(n-j)/2 (1-lam)^j/2 |n-j><n|."""
     spec = Attenuator(lam)
     lam = spec.transmissivity
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
+    dim = _check_dim(dim)
+    _check_dense_budget(16 * dim**3, f"{_count(dim)} Kraus matrices of {_count(dim)} levels")
     mats: list[np.ndarray] = []
     if lam == 1.0:
         mats.append(np.eye(dim, dtype=np.complex128))
@@ -642,7 +644,7 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
         g = np.exp(0.5 * (np.log(w) + t - math.log(2.0))[:, None]
                    + 0.5 * (np.log(t)[:, None] * p - gammaln(p + 1.0)))
         out = np.zeros((dim_out, dim_out), dtype=np.complex128)
-        for e, sums in _radial_sums(work, t, "Q"):
+        for e, sums in _radial_sums(work, t):
             if sums is not None and e < dim_out:  # offsets e and -e share g g
                 rows, cols = _offset_entries(dim_out, e)
                 out[rows, cols], out[cols, rows] = sums @ (g[:, :dim_out - e] * g[:, e:])

@@ -197,8 +197,11 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """
     dim = _check_dim(dim)
     alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValidationError(f"coherent amplitude alpha must be finite, got {alpha}")
+    r = abs(alpha)
     amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = math.exp(-0.5 * (r * r))  # inf, where r ** 2 would raise OverflowError
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
@@ -237,8 +240,7 @@ def coherent_state(alpha: complex, dim: int) -> tuple[DensityOperator, TailRepor
     """Coherent-state projector |alpha><alpha| and its truncation report."""
     dim = _check_dim(dim)
     alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValidationError(f"coherent amplitude alpha must be finite, got {alpha}")
+    amps = coherent_amplitudes(alpha, dim)  # refuses a non-finite alpha
     tail = coherent_tail(alpha, dim)
     if tail > TAIL_TOLERANCE:
         need = _required_dim(lambda n: coherent_tail(alpha, n), TAIL_TOLERANCE,
@@ -249,7 +251,6 @@ def coherent_state(alpha: complex, dim: int) -> tuple[DensityOperator, TailRepor
             tail_mass=tail,
             required_dim=need,
         )
-    amps = coherent_amplitudes(alpha, dim)
     mat = np.outer(amps, amps.conj())
     state = as_density(
         TruncatedOperator(mat, label=f"coherent({alpha})"),
@@ -542,7 +543,9 @@ def operator_from_json(text: str | bytes) -> TruncatedOperator:
             raise ValidationError(f"operator JSON missing key {key!r}")
     dim = payload["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValidationError(f"operator JSON dim must be an integer, got {dim!r}")
+        raise ValidationError(f"operator JSON dim must be an integer, got a {type(dim).__name__}")
+    if dim < 1:
+        raise ValidationError("operator JSON dim must be positive")
     try:
         re = np.asarray(_json_number(payload["re"]), dtype=np.float64)
         im = np.asarray(_json_number(payload["im"]), dtype=np.float64)
@@ -551,7 +554,7 @@ def operator_from_json(text: str | bytes) -> TruncatedOperator:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"operator JSON parts have shapes {re.shape} and {im.shape}, "
-            f"expected ({dim}, {dim})")
+            f"expected {_count(dim)} x {_count(dim)}")
     # set the parts, not re + 1j im: that sum turns a -0.0 real part into +0.0
     mat = np.empty((dim, dim), dtype=np.complex128)
     mat.real, mat.imag = re, im

@@ -9,26 +9,24 @@ d^2alpha/pi integration convention so that densities integrate to 1:
   mixtures of coherent states, e.g. thermal); anything else raises
   SingularPError rather than pretending.
 
-Point evaluators (`q_at`, `w_at`, `w_char_at`) are kept deliberately
-independent of the vectorized grid evaluators used by `sample`, so each can
-certify the other: `q_at` takes the exact coherent amplitudes and `w_at`
-builds the parity kernel by exponentiation on a sized register.
+The point oracles `q_at` and `w_at` share no code with the grid routes:
+`q_at` takes the exact coherent amplitudes and `w_at` builds the parity
+kernel by exponentiation on a sized register.
 
-Grid Q and the characteristic function of `w_char_at` share the radial
-kernel: both are sums over the diagonal offsets e of u^e S_e(y) +
-(s u*)^e L_e(y), u = alpha/|alpha|, where S and L are real radial rows
-weighted by X's two e-diagonals, computed once per distinct y = |alpha|^2
-(products of Poisson amplitudes for Q, Laguerre recurrences for the
-characteristic function), and the phases are summed by Horner's rule.  The
-coherent-projection route of `channels` reads the same S and L as its angular
-harmonics.
-
-Grid W takes the Hermite-Gauss mode converter instead (Beijersbergen et al.,
-Opt. Commun. 96, 123): a 50:50 beamsplitter maps the W of |m><n|, a
+Grid W takes the Hermite-Gauss mode converter (Beijersbergen et al., Opt.
+Commun. 96, 123): a 50:50 beamsplitter maps the W of |m><n|, a
 Laguerre-Gauss mode, onto products of Hermite functions of the two grid
 axes, so W on a Cartesian grid is two GEMMs per operator.  The beamsplitter
 blocks do not depend on the operator; `sample_wigner` builds them once for a
 batch of operators that share a grid and keeps none of them past the call.
+`w_char_at` reads its characteristic function from the same route, as
+Tr[X D(beta)] = W_(Pi X)(beta/2) / 2 with Pi = (-1)^n.
+
+Grid Q takes the radial kernel: sum_e u^e S_e(y) + u*^e L_e(y), u =
+alpha/|alpha|, with S and L X's two e-diagonals weighted by products of
+Poisson amplitudes once per distinct y = |alpha|^2, and the phases summed
+by Horner's rule.  The projection route of `channels` reads the same S and
+L as its angular harmonics.
 
 The Weierstrass transform `weierstrass` smooths a sampled distribution with
 a Gaussian of variance t; t = 1/2 shifts P -> W -> Q one rung, t = 1 maps
@@ -42,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     GridTooSmallError,
@@ -74,9 +71,9 @@ __all__ = [
 
 GRID_TOLERANCE = 1e-3
 KINDS = ("P", "W", "Q")
-# Grid W reads psi_0(2x) = pi^(-1/4) exp(-2 x^2) along each axis; out to |x| =
-# W_REACH (18.8) it is a normal float, so every Hermite row keeps its full
-# relative precision.  Past it the rows underflow and W would come out wrong.
+# psi_0(t) = pi^(-1/4) exp(-t^2/2) is a normal float for |t| <= 2 W_REACH, so the
+# Hermite rows keep full relative precision there and underflow past it: grid W
+# reads t = 2 Re alpha (reach 18.8), the characteristic function t = Re beta (37.6).
 W_REACH = 0.5 * math.sqrt(-2.0 * math.log(np.finfo(float).tiny * math.pi**0.25))
 # what recognize_gaussian_p allows off and along a thermal-form diagonal
 GAUSSIAN_DIAG_TOLERANCE = 1e-12
@@ -216,15 +213,19 @@ def w_at(x, alpha: complex) -> float:
 def w_char_at(x, alpha: complex, betagrid: PhaseGrid) -> float:
     """Wigner value by quadrature of the characteristic function.
 
-    Independent of `w_at`: integrates Tr[X D(beta)] against the phase
-    exp(alpha beta* - alpha* beta) over `betagrid`.  The grid must enclose
-    the characteristic function's support: the largest |Tr[X D(beta)]| on
-    the boundary ring must stay below 1e-3, a gate tuned to the ~5e-3
-    accuracy this quadrature is used for.
+    Independent of `w_at`: integrates Tr[X D(beta)] from the Hermite-Gauss
+    route against the phase exp(alpha beta* - alpha* beta) over `betagrid`,
+    which may reach |Re beta| and |Im beta| up to 2 W_REACH (37.63).  The
+    grid must enclose the characteristic function's support: the largest
+    |Tr[X D(beta)]| on the boundary ring must stay below 1e-3, a gate tuned
+    to the ~5e-3 accuracy this quadrature is used for.
     """
     mat = _as_operator(x).matrix
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValidationError(f"Wigner point alpha must be finite, got {alpha}")
     betas = betagrid.alphas()
-    chi = _harmonic_fold(mat, betas, "W")
+    chi = _characteristic(mat, betagrid)
     tolerance = 1e-3
     edge = float(np.max(np.abs(chi[betagrid.boundary_mask()])))
     if edge > tolerance:
@@ -232,7 +233,6 @@ def w_char_at(x, alpha: complex, betagrid: PhaseGrid) -> float:
             f"characteristic function is {edge:.3e} at the beta-grid boundary, "
             f"above {tolerance:g}; enlarge the grid",
             boundary_value=edge, tolerance=tolerance)
-    alpha = complex(alpha)
     phase = np.exp(alpha * betas.conj() - np.conj(alpha) * betas)
     h = betagrid.spacing
     val = complex(np.sum(chi * phase) * (h * h / math.pi))
@@ -276,29 +276,23 @@ def recognize_gaussian_p(x) -> GaussianP | None:
     return GaussianP(nbar, weight=weight)
 
 
-def _radial_sums(mat: np.ndarray, y: np.ndarray, kind: str):
+def _radial_sums(mat: np.ndarray, y: np.ndarray):
     """Yield (e, [S_e; L_e]) for e from X's highest live offset down to 0.
 
     S_e = sum_m X[m, m+e] R_e[m](y) and L_e = sum_m X[m+e, m] R_e[m](y) at
-    each radius y = |alpha|^2, one real GEMM against the real radial rows:
-    * "W": R_e[m] = sqrt(m!/(m+e)!) y^(e/2) e^(-y/2) L_m^(e)(y), a matrix
-      element of D; the three-term recurrence never leaves [-1, 1];
-    * "Q": R_e[m] = A[m] A[m+e], A[k] = |<k|alpha>| = e^(-y/2) y^(k/2)/sqrt(k!).
+    each radius y = |alpha|^2, one real GEMM against the real radial rows
+    R_e[m] = A[m] A[m+e], A[k] = |<k|alpha>| = e^(-y/2) y^(k/2)/sqrt(k!).
     A dead offset (both diagonals below 1e-18 of X's largest entry) yields
     None; L_0 repeats S_0.
     """
     dim = mat.shape[0]
-    # the rows buffer, and beside it Q's amplitudes
-    _check_dense_budget(8 * dim * y.size * (2 if kind == "Q" else 1),
-                        f"{kind} radial rows of {dim} levels at {y.size} radii")
+    # the rows buffer, and beside it the amplitudes
+    _check_dense_budget(16 * dim * y.size, f"Q radial rows of {dim} levels at {y.size} radii")
     rows = np.empty((dim, y.size))
-    if kind == "Q":
-        amps = np.empty((dim, y.size))
-        amps[0] = np.exp(-0.5 * y)
-        for k in range(1, dim):
-            amps[k] = amps[k - 1] * np.sqrt(y / k)
-    else:
-        log_y = np.log(y, out=np.full_like(y, -np.inf), where=y > 0.0)
+    amps = np.empty((dim, y.size))
+    amps[0] = np.exp(-0.5 * y)
+    for k in range(1, dim):
+        amps[k] = amps[k - 1] * np.sqrt(y / k)
     mag = np.abs(mat)
     floor = 1e-18 * max(float(mag.max()) if mat.size else 0.0, 1e-300)
     alive = {e for e in range(dim)
@@ -307,42 +301,31 @@ def _radial_sums(mat: np.ndarray, y: np.ndarray, kind: str):
         if e not in alive:
             yield e, None
             continue
-        r = rows[:dim - e]
-        if kind == "Q":
-            np.multiply(amps[:dim - e], amps[e:], out=r)
-        else:  # log_y = -inf makes the seed 0 at y = 0, but 0 * log 0 is NaN
-            np.exp(0.5 * (e * log_y - y) - 0.5 * gammaln(e + 1) if e else -0.5 * y,
-                   out=r[0])
-            for m in range(dim - e - 1):
-                a = 1.0 / math.sqrt((m + 1) * (m + e + 1))
-                np.subtract(2 * m + e + 1, y, out=r[m + 1])
-                r[m + 1] *= a * r[m]
-                if m:
-                    r[m + 1] -= (a * math.sqrt(m * (m + e))) * r[m - 1]
+        r = np.multiply(amps[:dim - e], amps[e:], out=rows[:dim - e])
         diags = np.stack([np.diagonal(mat, e), np.diagonal(mat, -e)])
         sums = np.concatenate([diags.real, diags.imag]) @ r
         yield e, sums[:2] + 1j * sums[2:]
 
 
-def _harmonic_fold(mat: np.ndarray, points, kind: str) -> np.ndarray:
-    """Tr[X D(beta)] ("W") or <alpha|X|alpha> ("Q") at every point.
+def _harmonic_fold(mat: np.ndarray, points) -> np.ndarray:
+    """<alpha|X|alpha> at every point.
 
-    Both are sum_e u^e S_e(y) + (s u*)^e L_e(y), u = point/|point|, with
-    s = -1 for W and +1 for Q (Cahill & Glauber, Phys. Rev. 177, 1857).
-    S and L come once per distinct y = |point|^2; the phases are folded in
-    by Horner's rule, from the highest live offset e down.
+    It is sum_e u^e S_e(y) + u*^e L_e(y), u = point/|point| (Cahill &
+    Glauber, Phys. Rev. 177, 1857).  S and L come once per distinct y =
+    |point|^2; the phases are folded in by Horner's rule, from the highest
+    live offset e down.
     """
     points = np.asarray(points, dtype=np.complex128)
     flat = points.ravel()
     y_pts = np.abs(flat) ** 2
     y, inv = np.unique(y_pts, return_inverse=True)
-    # step = [u; s u*]; u = 0 at the origin, where every e > 0 term vanishes
+    # step = [u; u*]; u = 0 at the origin, where every e > 0 term vanishes
     step = np.zeros((2, flat.size), dtype=np.complex128)
     np.divide(flat, np.sqrt(y_pts), out=step[0], where=y_pts > 0.0)
-    np.multiply(step[0].conj(), -1.0 if kind == "W" else 1.0, out=step[1])
+    np.conjugate(step[0], out=step[1])
     acc = np.zeros((2, flat.size), dtype=np.complex128)
     gathered = np.empty(flat.size, dtype=np.complex128)
-    for e, sums in _radial_sums(mat, y, kind):
+    for e, sums in _radial_sums(mat, y):
         if sums is not None:
             for half in (0, 1) if e else (0,):  # L_0 is S_0 again
                 acc[half] += np.take(sums[half], inv, out=gathered)
@@ -374,7 +357,7 @@ def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
     op = _as_operator(x)
     alphas = grid.alphas()
     if kind == "Q":
-        vals = _harmonic_fold(_trim_matrix(op.matrix), alphas, "Q")
+        vals = _harmonic_fold(_trim_matrix(op.matrix), alphas)
         _check_real("Q", vals.imag)
         vals = vals.real
     else:
@@ -394,22 +377,41 @@ def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
 def sample_wigner(xs, grid: PhaseGrid) -> list:
     """W of every operator in the sequence `xs` on one grid, one QuasiDistribution each.
 
-    W(alpha) = 2 sqrt(pi) sum_ab C[a, b] psi_a(2 Re alpha) psi_b(2 Im alpha)
-    with psi the normalised Hermite functions, so each operator costs the
-    two GEMMs Psi_re^T C Psi_im.  One beamsplitter-block recursion
-    (`_mode_coefficients`) serves the whole batch.  Each operator is checked
-    as `sample` checks it.  A grid that reaches past W_REACH along either
-    axis raises ValidationError before anything is computed.
+    W(alpha) = 2 sqrt(pi) sum_ab C[a, b] psi_a(2 Re alpha) psi_b(2 Im alpha),
+    the `_hermite_sums` at scale 2.  Each operator is checked as `sample`
+    checks it.
+    """
+    ops = [_as_operator(x) for x in xs]
+    out = []
+    for x, op, vals in zip(xs, ops, _hermite_sums([op.matrix for op in ops], grid, 2.0)):
+        _check_real("W", vals[1])  # vals are Re W and Im W, over 2 sqrt(pi)
+        out.append(_distribution(x, op, "W", grid, (2.0 * math.sqrt(math.pi)) * vals[0]))
+    return out
+
+
+def _characteristic(mat: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Tr[X D(beta)] = W_(Pi X)(beta/2) / 2, Pi = (-1)^n; psi reads 2 Re(beta/2) = Re beta."""
+    (parts,) = _hermite_sums([mat * (-1.0) ** np.arange(mat.shape[0])[:, None]], grid, 1.0)
+    return math.sqrt(math.pi) * (parts[0] + 1j * parts[1])
+
+
+def _hermite_sums(mats: list, grid: PhaseGrid, scale: float):
+    """Psi_re^T C Psi_im of each X, with psi_k at scale Re alpha and scale Im alpha.
+
+    Real and imaginary parts, shape (2, n, n), each computed as it is read;
+    one `_mode_coefficients` pass serves every X.  psi_0(t) is a normal
+    float only for |t| <= 2 W_REACH: a grid past 2 W_REACH / scale along
+    either axis raises ValidationError before anything is computed.
     """
     off = grid.axis_offsets()
     axes = (grid.center.real + off, grid.center.imag + off)
     reach = max(float(np.max(np.abs(axis))) for axis in axes)
-    if reach > W_REACH:
+    limit = 2.0 * W_REACH / scale
+    if reach > limit:
         raise ValidationError(
-            f"W grids reach |Re alpha| and |Im alpha| up to {W_REACH:.2f}; this "
+            f"this route samples |Re alpha| and |Im alpha| up to {limit:.2f}; this "
             f"grid reaches {reach:.6g}")
-    ops = [_as_operator(x) for x in xs]
-    mats = [_trim_matrix(op.matrix) for op in ops]
+    mats = [_trim_matrix(mat) for mat in mats]
     dim = max((mat.shape[0] for mat in mats), default=1)
     count = 2 * dim - 1
     # the stacked inputs and C (16 bytes an entry), both axes' Hermite rows and
@@ -417,16 +419,10 @@ def sample_wigner(xs, grid: PhaseGrid) -> list:
     _check_dense_budget(
         16 * len(mats) * (dim * dim + count * count) + 16 * count * off.size
         + 8 * dim * dim,
-        f"W of {len(mats)} operators of {dim} levels on {off.size} x {off.size} points")
+        f"{len(mats)} Hermite sums of {dim} levels on {off.size} x {off.size} points")
     coeffs = _mode_coefficients(mats, dim)
-    re_rows, im_rows = (_hermite_rows(2.0 * axis, count) for axis in axes)
-    out = []
-    for x, op, c in zip(xs, ops, coeffs):
-        k = c.shape[1]
-        vals = re_rows[:k].T @ c @ im_rows[:k]  # Re W and Im W, over 2 sqrt(pi)
-        _check_real("W", vals[1])
-        out.append(_distribution(x, op, "W", grid, (2.0 * math.sqrt(math.pi)) * vals[0]))
-    return out
+    re_rows, im_rows = (_hermite_rows(scale * axis, count) for axis in axes)
+    return (re_rows[:c.shape[1]].T @ c @ im_rows[:c.shape[1]] for c in coeffs)
 
 
 def _hermite_rows(t: np.ndarray, count: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from quasiphase import channels
+from quasiphase import channels, fock
 from quasiphase.analysis import default_battery
 from quasiphase.channels import (
     AdditiveNoise,
@@ -40,6 +40,7 @@ from quasiphase.channels import (
 from quasiphase.errors import (
     AncillaTailError,
     BudgetError,
+    InvalidDimensionError,
     TraceLeakError,
     ValidationError,
 )
@@ -442,6 +443,20 @@ class TestKrausSet:
             total = sum(k.conj().T @ k for k in ks)
             assert_allclose(total, np.eye(24), atol=1e-12)
             assert ks.completeness_residual <= 1e-10
+
+    def test_stack_over_the_budget_raises(self, monkeypatch):
+        # dim complex dim x dim matrices, 16 dim^3 bytes
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", 16 * 12**3 - 1)
+        with pytest.raises(BudgetError) as info:
+            attenuator_kraus(0.5, 12)
+        assert info.value.required_bytes == 16 * 12**3
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", 16 * 12**3)
+        assert len(attenuator_kraus(0.5, 12).matrices) == 12
+
+    @pytest.mark.parametrize("dim", [0, 8.0])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(InvalidDimensionError, match="positive integer"):
+            attenuator_kraus(0.5, dim)
 
     def test_unit_transmissivity_single_identity(self):
         ks = attenuator_kraus(1.0, 8)

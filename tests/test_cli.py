@@ -320,6 +320,20 @@ class TestDistCommand:
         assert len(err) < 300
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim,needle", [
+        ("1" + "0" * 3000, "expected 1.000e+3000 x 1.000e+3000"),
+        ('"' + "x" * 100_000 + '"', "dim must be an integer, got a str"),
+    ], ids=["int", "str"])
+    def test_astronomic_operator_dim_prints_briefly(self, tmp_path, capsys, dim, needle):
+        # echoed in full, the 3 001-digit dim made a 6 062-character message
+        state, out = tmp_path / "v.json", tmp_path / "w.csv"
+        state.write_text(f'{{"dim": {dim}, "re": [], "im": []}}', encoding="utf-8")
+        assert run("dist", "W", state, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err) < 300
+        assert not out.exists()
+
     def test_state_on_a_grid_too_small_exits_one(self, tmp_path, capsys):
         state, out = tmp_path / "c.json", tmp_path / "w.csv"
         assert run("state", "coherent:2,0", "--dim", 40, "--out", state) == 0

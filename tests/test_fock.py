@@ -392,6 +392,17 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="nested too deeply"):
             fock.operator_from_json(text)
 
+    @pytest.mark.parametrize("dim", ["0", "-5"])
+    def test_json_dim_must_be_positive(self, dim):
+        with pytest.raises(ValidationError, match="dim must be positive"):
+            fock.operator_from_json(f'{{"dim": {dim}, "re": [], "im": []}}')
+
+    def test_shape_error_names_the_expected_shape(self):
+        with pytest.raises(ValidationError, match=r"expected 2 x 2$"):
+            fock.operator_from_json('{"dim": 2, "re": [[1.0]], "im": [[0.0]]}')
+        with pytest.raises(ValidationError, match=r"expected 1\.000e\+3000 x 1\.000e\+3000$"):
+            fock.operator_from_json('{"dim": 1' + "0" * 3000 + ', "re": [], "im": []}')
+
     @pytest.mark.parametrize("dim", ["1.0", "[1]", '"1"'])
     def test_json_dim_must_be_an_integer(self, dim):
         # 1.0 and [1] would otherwise pass or fail only through the shape

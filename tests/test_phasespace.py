@@ -136,6 +136,20 @@ class TestPointEvaluators:
         with pytest.raises(GridTooSmallError):
             ps.w_char_at(fock.fock_state(0, 16), 0.0, grid)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda x, a: ps.q_at(x, a),
+        lambda x, a: ps.w_at(x, a),
+        lambda x, a: ps.w_char_at(x, a, ps.PhaseGrid(half_extent=4.0, spacing=0.1)),
+    ], ids=["q_at", "w_at", "w_char_at"])
+    @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, math.nan)])
+    def test_non_finite_point_raises(self, evaluate, alpha):
+        with pytest.raises(ValidationError, match="must be finite"):
+            evaluate(fock.fock_state(0, 16), alpha)
+
+    def test_husimi_far_out_is_zero(self):
+        # |alpha|^2 overflows to inf, so the vacuum amplitude is exp(-inf) = 0
+        assert ps.q_at(fock.fock_state(0, 16), 1e200) == 0.0
+
     def test_thermal_p_values(self):
         assert ps.p_thermal_at(0.5, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert ps.p_thermal_at(1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
@@ -208,24 +222,30 @@ class TestDisplacementTraceGrid:
     @FOLD_CASES
     def test_matches_per_point_displacement_oracle(self, mat, grid):
         betas = grid.alphas()
-        got = ps._harmonic_fold(mat, betas, "W")
+        got = ps._characteristic(mat, grid)
         assert np.max(np.abs(got - _displacement_trace_oracle(mat, betas))) < 1e-10
 
     @FOLD_CASES
     def test_husimi_matches_per_point_coherent_oracle(self, mat, grid):
         alphas = grid.alphas()
-        got = ps._harmonic_fold(mat, alphas, "Q")
+        got = ps._harmonic_fold(mat, alphas)
         assert np.max(np.abs(got - _husimi_oracle(mat, alphas))) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["W", "Q"])
-    def test_radial_rows_over_the_budget_raise(self, monkeypatch, kind):
+    def test_radial_rows_over_the_budget_raise(self, monkeypatch):
         state = fock.coherent_state(0.5, 16)[0]
         ys = np.unique(np.abs(CENTRED.alphas()) ** 2).size
-        rows = 8 * 16 * ys * (2 if kind == "Q" else 1)
+        rows = 8 * 16 * ys * 2  # the rows buffer and the amplitudes
         monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", rows - 1)
         with pytest.raises(BudgetError) as info:
-            ps._harmonic_fold(state.matrix, CENTRED.alphas(), kind)
+            ps._harmonic_fold(state.matrix, CENTRED.alphas())
         assert info.value.required_bytes == rows
+
+    def test_beta_grid_past_the_reach_raises(self, monkeypatch):
+        # psi_0(Re beta) underflows past 2 W_REACH = 37.63
+        monkeypatch.setattr(ps, "_mode_coefficients", _raise)
+        betagrid = ps.PhaseGrid(center=37.5j, half_extent=0.5, spacing=0.25)
+        with pytest.raises(ValidationError, match="up to 37.63"):
+            ps.w_char_at(fock.fock_state(0, 16), 0.0, betagrid)
 
     def test_coherent_wigner_grid_matches_point_route(self):
         state, _ = fock.coherent_state(1.2 - 0.7j, 64)
@@ -360,20 +380,36 @@ class TestHermiteRoute:
         monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", needed)
         assert len(ps.sample_wigner(ops, CENTRED)) == 2
 
-    def test_grid_w_never_reads_the_radial_kernel(self, monkeypatch):
-        monkeypatch.setattr(ps, "_harmonic_fold", _raise)
-        monkeypatch.setattr(ps, "_radial_sums", _raise)
-        dist = ps.sample(fock.fock_state(1, 16), "W", DESK)
-        assert np.max(np.abs(dist.values - wigner_fock_oracle(1, DESK.alphas()))) < 1e-10
 
-    def test_w_char_at_never_reads_the_hermite_route(self, monkeypatch):
-        monkeypatch.setattr(ps, "_hermite_rows", _raise)
-        monkeypatch.setattr(ps, "_mode_coefficients", _raise)
-        monkeypatch.setattr(ps, "_beamsplitter_blocks", _raise)
-        state = fock.fock_state(1, 16)
-        betagrid = ps.PhaseGrid(half_extent=5.0, spacing=0.05)
-        assert ps.w_char_at(state, 0.3, betagrid) == pytest.approx(
-            ps.w_at(state, 0.3), abs=5e-3)
+_RADIAL = ("_radial_sums", "_harmonic_fold")
+_HERMITE = ("_hermite_rows", "_mode_coefficients", "_beamsplitter_blocks")
+
+
+class TestRouteIndependence:
+    """Each evaluator matches its oracle with the other routes' helpers raising.
+
+    Grid W and the characteristic function never read the radial kernel, and
+    `w_char_at` never reaches the parity kernel, so criterion 10 compares two
+    unshared routes; `w_at`, grid Q and `q_at` never read the Hermite route,
+    so criterion 3 does too.
+    """
+
+    @pytest.mark.parametrize("evaluate,oracle,patched,tol", [
+        (lambda x: ps.sample(x, "W", DESK).values,
+         lambda: wigner_fock_oracle(1, DESK.alphas()), _RADIAL, 1e-10),
+        (lambda x: ps.w_char_at(x, 0.3, DESK),
+         lambda: wigner_fock_oracle(1, 0.3), _RADIAL + ("displaced_parity",), 5e-3),
+        (lambda x: ps.w_at(x, 0.3), lambda: wigner_fock_oracle(1, 0.3), _HERMITE, 1e-9),
+        (lambda x: ps.sample(x, "Q", DESK).values,
+         lambda: husimi_fock_oracle(1, DESK.alphas()), _HERMITE, 1e-10),
+        (lambda x: ps.q_at(x, 0.3), lambda: husimi_fock_oracle(1, 0.3), _HERMITE, 1e-12),
+    ], ids=["grid_W", "w_char_at", "w_at", "grid_Q", "q_at"])
+    def test_evaluator_avoids_the_other_routes(self, monkeypatch, evaluate, oracle,
+                                               patched, tol):
+        for name in patched:
+            monkeypatch.setattr(ps, name, _raise)
+        got = evaluate(fock.fock_state(1, 16))
+        assert np.max(np.abs(got - oracle())) < tol
 
 
 EVALUATORS = pytest.mark.parametrize("evaluate", [
