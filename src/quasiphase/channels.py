@@ -35,8 +35,10 @@ same diagonal.  At a fixed dim every channel built from them is therefore
 one small real transfer block per offset e (`superoperator_of`), whose
 entries are the kernels' weight products from the same factors, and the
 regularized inverse (`inverse_apply`) filters each diagonal through its
-block's SVD.  The blocks and their SVDs are cached per (spec, dim):
-O(dim^3) reals, shared by every epsilon.
+block's SVD.  The blocks, U^T and V are cached per (spec, dim) as
+zero-padded (dim, dim, dim) stacks beside the singular values, 3 dim^3 +
+dim^2 reals shared by every epsilon, so one matmul per sign of the offset
+maps every diagonal at once.
 """
 
 from __future__ import annotations
@@ -287,6 +289,60 @@ def _toeplitz_factors(atom, dim_in: int, dim_out: int) -> tuple:
     return log_b, half_fact[:dim_in], log_a, False
 
 
+def _skew(buf: np.ndarray, n: int) -> np.ndarray:
+    """The [half, q, e] view of the entries q*(n+1) + e of each row of buf.
+
+    buf is (2, n*n + n) complex: each half an n x n matrix in row-major
+    order followed by n spare entries, so the view reads or writes entry
+    (q, q+e) of each half.  Offsets past the edge (q + e >= n) wrap onto
+    entry (q+1, q+e-n), below the diagonal, or reach the spare entries;
+    no two view entries share a buffer entry.
+    """
+    return as_strided(buf, (2, n, n), (buf.strides[0], 16 * (n + 1), 16))
+
+
+def _skewed_halves(mat: np.ndarray) -> np.ndarray:
+    """skew[0, q, e] = mat[q, q+e] and skew[1, q, e] = mat[q+e, q], read only.
+
+    Every diagonal of mat and of its transpose is a column of one strided
+    view, without a copy per diagonal.  Entries with q + e >= n hold
+    whatever the wrap reaches (`_skew`); a caller gives them zero weight.
+    """
+    n = mat.shape[0]
+    src = np.zeros((2, n * n + n), dtype=np.complex128)
+    src[0, :n * n] = mat.ravel()
+    src[1, :n * n].reshape(n, n)[...] = mat.T
+    skew = _skew(src, n)
+    skew.flags.writeable = False
+    return skew
+
+
+def _diagonals(mat: np.ndarray) -> np.ndarray:
+    """parts[half, e, q] = the skewed halves' entry (q, e), as (re, im) floats.
+
+    Row e of half 0 is diagonal e of mat, mat[q, q+e], and of half 1 that
+    of its transpose, mat[q+e, q], contiguous for the batched solves.
+    """
+    n = mat.shape[0]
+    halves = np.ascontiguousarray(_skewed_halves(mat).transpose(0, 2, 1))
+    return halves.view(np.float64).reshape(2, n, n, 2)
+
+
+def _from_diagonals(parts: np.ndarray) -> np.ndarray:
+    """Y with Y[q, q+e] = parts[0, e, q] and Y[q+e, q] = parts[1, e, q].
+
+    The inverse of `_diagonals`, with the main diagonal read from half 0.
+    Entries with q + e >= n must be zero: they land below the diagonal or
+    in the spare entries (`_skew`), where adding zero is exact.
+    """
+    n = parts.shape[1]
+    dst = np.zeros((2, n * n + n), dtype=np.complex128)
+    _skew(dst, n)[...] = parts.view(np.complex128)[..., 0].transpose(0, 2, 1)
+    upper, lower = (half[:n * n].reshape(n, n) for half in dst)
+    np.fill_diagonal(lower, 0.0)
+    return upper + lower.T
+
+
 def _toeplitz_apply(mat: np.ndarray, dim_out: int, log_b: np.ndarray,
                     log_c: np.ndarray, log_a: np.ndarray,
                     rising: bool) -> np.ndarray:
@@ -316,13 +372,7 @@ def _toeplitz_apply(mat: np.ndarray, dim_out: int, log_b: np.ndarray,
     # the skewed input, the output with its spare rows and the tile buffers
     _check_dense_budget(32 * n * (n + 1) + 16 * dim_out * (dim_out + spare) + 80 * rows * n,
                         f"the channel kernel from {n} to {dim_out} levels")
-    # skew[q, 0, e] = mat[q, q+e] and skew[q, 1, e] = mat[q+e, q]; offsets
-    # past the edge read the padding or wrap, and a zero c or a cancels them
-    src = np.zeros((2, n * n + n), dtype=np.complex128)
-    src[0, :n * n] = mat.ravel()
-    src[1, :n * n].reshape(n, n)[...] = mat.T
-    skew_in = [as_strided(half, (n, n), (16 * (n + 1), 16), writeable=False)
-               for half in src]
+    skew_in = _skewed_halves(mat)  # a zero c or a cancels the wrapped reads
     # offsets past the last level land below the diagonal or in the spare
     # rows, and a zero a writes nothing there
     out = np.zeros((dim_out + spare, dim_out), dtype=np.complex128)
@@ -665,32 +715,42 @@ class Superoperator:
 
     The channel maps the diagonal <m|X|m+e> onto the same diagonal, so
     `blocks[e]` (square, dim - e levels) acts on offset e and, being real,
-    equally on offset -e.  `matrix` assembles the row-major dense form,
+    equally on offset -e.  `stack[e]` holds `blocks[e]` in its top-left
+    corner and zeros elsewhere, so `apply_matrix` runs every offset in one
+    matmul per sign of e.  `matrix` assembles the row-major dense form,
     vec(out) = matrix @ vec(in), on access.
     """
 
     spec: ChannelSpec
     dim: int
-    blocks: tuple
+    stack: np.ndarray
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(self.stack[e, :self.dim - e, :self.dim - e] for e in range(self.dim))
 
     @property
     def matrix(self) -> np.ndarray:
         n = self.dim
         _check_dense_budget(16 * n**4, f"a dense superoperator at dim {n}")
         out = np.zeros((n * n, n * n), dtype=np.complex128)
+        blocks = self.blocks
         for offset in range(1 - n, n):
             rows, cols = _offset_entries(n, offset)
             flat = rows * n + cols
-            out[np.ix_(flat, flat)] = self.blocks[abs(offset)]
+            out[np.ix_(flat, flat)] = blocks[abs(offset)]
         return out
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat, dtype=np.complex128)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for offset in range(1 - self.dim, self.dim):
-            entries = _offset_entries(self.dim, offset)
-            out[entries] = self.blocks[abs(offset)] @ mat[entries]
-        return out
+        """The channel's image of a finite dim x dim matrix."""
+        mat = _as_operator(mat).matrix  # a wrapped read must be finite to cancel
+        if mat.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"expected a {self.dim} x {self.dim} matrix, got shape {mat.shape}")
+        parts = _diagonals(mat)
+        for half in parts:  # same-shape matmuls round +e and -e alike
+            half[...] = np.matmul(self.stack, half)
+        return _from_diagonals(parts)
 
 
 def _atoms_in_application_order(spec: ChannelSpec) -> list:
@@ -718,10 +778,13 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
     On diagonal e an atom moves <q|X|q+e> to <p|Y|p+e> with the kernel's
     weight a[p] a[p+e] B[|p-q|] c[q] c[q+e] (`_toeplitz_factors`), on the
     triangle its direction allows.
-    Returns (blocks, svds) with svds[e] = (U, s, V^T) of blocks[e].
+    Returns (stack, ut, v, s): with U diag(s) V^T the SVD of block e,
+    stack[e], ut[e] and v[e] hold the block, U^T and V in their top-left
+    (dim - e) x (dim - e) corner and zeros elsewhere, and s[e] holds s
+    followed by zeros.
     """
-    # blocks[e], U and V^T each hold (dim - e)^2 reals: 3 sum_m m^2 in all
-    _check_dense_budget(4 * dim * (dim + 1) * (2 * dim + 1),
+    # three (dim, dim, dim) stacks and the singular values
+    _check_dense_budget(24 * dim**3 + 8 * dim**2,
                         f"transfer blocks and their SVDs at dim {dim}")
     atoms = _atoms_in_application_order(spec)
     blocks = [np.eye(dim - offset) for offset in range(dim)]
@@ -752,17 +815,22 @@ def _transfer_blocks(spec: ChannelSpec, dim: int) -> tuple:
                               + log_c[:cols] + log_c[offset:])
             blocks[offset] = step @ blocks[offset]
         cur_dim = out_dim
-    for block in blocks:
-        block.setflags(write=False)  # shared by every caller of the cache
-    return tuple(blocks), tuple(np.linalg.svd(block) for block in blocks)
+    stack, ut, v = (np.zeros((dim, dim, dim)) for _ in range(3))
+    s = np.zeros((dim, dim))
+    for offset, block in enumerate(blocks):
+        m = dim - offset
+        u, s[offset, :m], vt = np.linalg.svd(block)
+        stack[offset, :m, :m], ut[offset, :m, :m], v[offset, :m, :m] = block, u.T, vt.T
+    for arr in (stack, ut, v, s):
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return stack, ut, v, s
 
 
 def superoperator_of(spec: ChannelSpec, dim: int) -> Superoperator:
     """Transfer blocks at fixed dim (amplifier growth is cropped there)."""
     if dim < 1:
         raise ValidationError(f"dimension must be positive, got {dim}")
-    blocks, _ = _transfer_blocks(spec, int(dim))
-    return Superoperator(spec=spec, dim=int(dim), blocks=blocks)
+    return Superoperator(spec=spec, dim=int(dim), stack=_transfer_blocks(spec, int(dim))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -777,7 +845,9 @@ def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10) -> InverseResult
 
     The problem splits by diagonal offset; with the SVD U diag(s) V^T of
     the offset's transfer block the minimiser is V diag(s / (s^2 + eps))
-    U^T applied to that diagonal of X.  The residual reports the trace
+    U^T applied to that diagonal of X.  Every offset runs at once, as two
+    matmuls against the zero-padded U^T and V stacks per sign of e
+    (`_transfer_blocks`).  The residual reports the trace
     distance between C(Y) and X; the forward map only, never the
     regularizer, decides whether the preimage is trustworthy, and the
     caller judges it.  Hermitian inputs get Hermitian preimages (the exact
@@ -789,16 +859,16 @@ def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10) -> InverseResult
     op = _as_operator(x)
     mat = op.matrix
     dim = mat.shape[0]
-    blocks, svds = _transfer_blocks(spec, dim)
-    y = np.zeros((dim, dim), dtype=np.complex128)
-    for offset in range(1 - dim, dim):
-        entries = _offset_entries(dim, offset)
-        u, s, vt = svds[abs(offset)]
-        y[entries] = vt.T @ (s / (s * s + epsilon) * (u.T @ mat[entries]))
+    stack, ut, v, s = _transfer_blocks(spec, dim)
+    gain = (s / (s * s + epsilon))[:, :, None]  # zero past each block's corner
+    parts = _diagonals(mat)
+    for half in parts:  # same-shape matmuls round +e and -e alike
+        half[...] = np.matmul(v, gain * np.matmul(ut, half))
+    y = _from_diagonals(parts)
     scale = max(1.0, float(np.max(np.abs(mat))))
     if hermiticity_defect(mat) <= 1e-10 * scale:
         y = 0.5 * (y + y.conj().T)
-    forward = Superoperator(spec=spec, dim=dim, blocks=blocks).apply_matrix(y)
+    forward = Superoperator(spec=spec, dim=dim, stack=stack).apply_matrix(y)
     return InverseResult(operator=TruncatedOperator(y, label=f"inverse[{op.label}]"),
                          residual=float(trace_distance(forward, mat)),
                          epsilon=float(epsilon))

@@ -415,10 +415,16 @@ def mean_photon(x) -> float:
 
 
 def trace_distance(x, y) -> float:
-    """Half the trace norm of X - Y (operators embedded to a common dim)."""
+    """Half the trace norm of X - Y (operators embedded to a common dim).
+
+    An exactly Hermitian difference takes its singular values as the
+    absolute eigenvalues, from `eigvalsh`; any other goes through the SVD.
+    """
     a, b = _as_operator(x).matrix, _as_operator(y).matrix
     n = max(a.shape[0], b.shape[0])
     diff = _embedded(a, n) - _embedded(b, n)
+    if np.array_equal(diff, diff.conj().T):
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 

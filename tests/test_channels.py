@@ -776,7 +776,8 @@ class TestSuperoperator:
 
     @pytest.mark.parametrize("dim", [512, 100_000])
     def test_transfer_blocks_over_the_budget_raise(self, dim):
-        # Blocks, U and V^T hold 3 * sum_m m^2 reals: 1.08 GB at dim 512.
+        # The zero-padded block, U^T and V stacks hold 3 * dim^3 reals and the
+        # singular values dim^2: 3.2 GB at dim 512.
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError) as info:
@@ -784,11 +785,11 @@ class TestSuperoperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.required_bytes == 24 * sum(m * m for m in range(1, dim + 1))
+        assert info.value.required_bytes == 24 * dim**3 + 8 * dim**2
         assert peak < 1e6
 
     def test_inverse_over_the_transfer_budget_raises(self):
-        # The dim-600 input is 5.8 MB; its transfer blocks would be 1.7 GB.
+        # The dim-600 input is 5.8 MB; its transfer stacks would be 5.2 GB.
         with pytest.raises(BudgetError):
             inverse_apply(smoothing_channel(), fock_state(0, 600))
 
@@ -986,6 +987,74 @@ class TestInverse:
     def test_epsilon_validated(self):
         with pytest.raises(ValidationError):
             inverse_apply(Attenuator(0.5), fock_state(0, 4), epsilon=0.0)
+
+
+def per_offset_reference(spec, x, epsilon=None):
+    """The channel's image of x (epsilon None) or its Tikhonov preimage, one
+    diagonal offset at a time from the blocks and their SVDs, with the
+    Hermitian projection inverse_apply makes for a Hermitian x."""
+    d = x.shape[0]
+    blocks = superoperator_of(spec, d).blocks
+    out = np.zeros((d, d), dtype=np.complex128)
+    for offset in range(1 - d, d):
+        block, diag = blocks[abs(offset)], np.diagonal(x, offset)
+        if epsilon is None:
+            image = block @ diag
+        else:
+            u, s, vt = np.linalg.svd(block)
+            image = vt.T @ (s / (s * s + epsilon) * (u.T @ diag))
+        i = np.arange(d - abs(offset))
+        out[i + max(0, -offset), i + max(0, offset)] = image
+    hermitian = np.max(np.abs(x - x.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+    if epsilon is not None and hermitian:
+        out = 0.5 * (out + out.conj().T)
+    return out
+
+
+class TestBatchedOffsets:
+    """apply_matrix and inverse_apply run every offset in one matmul per
+    sign of e; the per-offset reference loops over the offsets instead."""
+
+    @staticmethod
+    def inputs(d):
+        rng = np.random.default_rng(d)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return {"hermitian": 0.5 * (z + z.conj().T),
+                "state": random_density(d, rank=min(3, d), rng=rng).matrix,
+                "complex": rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))}
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 40])
+    @pytest.mark.parametrize("spec", [smoothing_channel(), Attenuator(0.3), Amplifier(1.5)],
+                             ids=repr)
+    def test_apply_matrix_matches_per_offset_reference(self, spec, d):
+        s = superoperator_of(spec, d)
+        for name, x in self.inputs(d).items():
+            got = s.apply_matrix(x)
+            # the blocks are non-negative, so this bounds every sum's terms
+            scale = float(np.max(per_offset_reference(spec, np.abs(x)).real))
+            assert np.max(np.abs(got - per_offset_reference(spec, x))) <= 1e-15 * scale, name
+        hermitian = s.apply_matrix(self.inputs(d)["hermitian"])
+        assert np.array_equal(hermitian, hermitian.conj().T)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-10])
+    @pytest.mark.parametrize("d", [1, 2, 5, 40])
+    def test_inverse_matches_per_offset_reference(self, d, epsilon):
+        spec = smoothing_channel()
+        for name, x in self.inputs(d).items():
+            got = inverse_apply(spec, TruncatedOperator(x), epsilon=epsilon).operator.matrix
+            expected = per_offset_reference(spec, x, epsilon)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+            if name == "hermitian":
+                assert np.array_equal(got, got.conj().T)
+
+    def test_apply_matrix_refuses_a_wrong_or_non_finite_matrix(self):
+        s = superoperator_of(smoothing_channel(), 4)
+        with pytest.raises(ValidationError):
+            s.apply_matrix(np.eye(5))
+        bad = np.eye(4, dtype=complex)
+        bad[3, 0] = np.nan  # read past the edge of offset 1's diagonal
+        with pytest.raises(ValidationError):
+            s.apply_matrix(bad)
 
 
 class TestDiagnostics:
