@@ -20,7 +20,13 @@ axes, so W on a Cartesian grid is two GEMMs per operator.  The beamsplitter
 blocks do not depend on the operator; `sample_wigner` builds them once for a
 batch of operators that share a grid and keeps none of them past the call.
 `w_char_at` reads its characteristic function from the same route, as
-Tr[X D(beta)] = W_(Pi X)(beta/2) / 2 with Pi = (-1)^n.
+Tr[X D(beta)] = W_(Pi X)(beta/2) / 2 with Pi = (-1)^n.  Its phase factorises
+over the two beta axes, so the quadrature is sqrt(pi) (Psi_re f)^T C (Psi_im
+g) h^2/pi with one phase vector per axis: O(K n + K^2) work for K Hermite
+levels and n points an axis, and no n x n array.  The boundary gate reads
+only the grid's four edge lines.  The sum on spacing h is W made periodic
+with period pi/h, so a point with |Re alpha| or |Im alpha| at or past
+pi/(2h) raises.
 
 Grid Q takes the radial kernel: sum_e u^e S_e(y) + u*^e L_e(y), u =
 alpha/|alpha|, with S and L X's two e-diagonals weighted by products of
@@ -213,29 +219,35 @@ def w_at(x, alpha: complex) -> float:
 def w_char_at(x, alpha: complex, betagrid: PhaseGrid) -> float:
     """Wigner value by quadrature of the characteristic function.
 
-    Independent of `w_at`: integrates Tr[X D(beta)] from the Hermite-Gauss
-    route against the phase exp(alpha beta* - alpha* beta) over `betagrid`,
-    which may reach |Re beta| and |Im beta| up to 2 W_REACH (37.63).  The
-    grid must enclose the characteristic function's support: the largest
-    |Tr[X D(beta)]| on the boundary ring must stay below 1e-3, a gate tuned
-    to the ~5e-3 accuracy this quadrature is used for.
+    Independent of `w_at`: sums Tr[X D(beta)] from the Hermite-Gauss route
+    against the phase exp(alpha beta* - alpha* beta) over `betagrid`, one
+    axis at a time (`_char_quadrature`): O(K n + K^2) work for K Hermite
+    levels and n points an axis, and no beta lattice.  The grid may reach
+    |Re beta| and |Im beta| up to 2 W_REACH (37.63).  The trapezoid sum on
+    spacing h returns W made periodic with period pi/h, so |Re alpha| and
+    |Im alpha| must stay below pi/(2h); a point at or past it raises
+    ValidationError.  The grid must enclose the characteristic function's
+    support: the largest |Tr[X D(beta)]| on the boundary ring, read from the
+    grid's four edge lines alone, must stay below 1e-3, a gate tuned to the
+    ~5e-3 accuracy this quadrature is used for.
     """
     mat = _as_operator(x).matrix
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValidationError(f"Wigner point alpha must be finite, got {alpha}")
-    betas = betagrid.alphas()
-    chi = _characteristic(mat, betagrid)
+    limit = 0.5 * math.pi / betagrid.spacing
+    if max(abs(alpha.real), abs(alpha.imag)) >= limit:
+        raise ValidationError(
+            f"a beta grid of spacing {betagrid.spacing:g} returns W made periodic "
+            f"with period pi/h; |Re alpha| and |Im alpha| must stay below "
+            f"pi/(2h) = {limit:.6g}, got {alpha}")
+    val, edge = _char_quadrature(mat, alpha, betagrid)
     tolerance = 1e-3
-    edge = float(np.max(np.abs(chi[betagrid.boundary_mask()])))
     if edge > tolerance:
         raise GridTooSmallError(
             f"characteristic function is {edge:.3e} at the beta-grid boundary, "
             f"above {tolerance:g}; enlarge the grid",
             boundary_value=edge, tolerance=tolerance)
-    phase = np.exp(alpha * betas.conj() - np.conj(alpha) * betas)
-    h = betagrid.spacing
-    val = complex(np.sum(chi * phase) * (h * h / math.pi))
     return _real_guard(val, "Wigner quadrature value")
 
 
@@ -378,30 +390,52 @@ def sample_wigner(xs, grid: PhaseGrid) -> list:
     """W of every operator in the sequence `xs` on one grid, one QuasiDistribution each.
 
     W(alpha) = 2 sqrt(pi) sum_ab C[a, b] psi_a(2 Re alpha) psi_b(2 Im alpha),
-    the `_hermite_sums` at scale 2.  Each operator is checked as `sample`
-    checks it.
+    two GEMMs per operator over the `_hermite_terms` at scale 2.  Each
+    operator is checked as `sample` checks it.
     """
     ops = [_as_operator(x) for x in xs]
+    coeffs, re_rows, im_rows, _ = _hermite_terms([op.matrix for op in ops], grid, 2.0)
     out = []
-    for x, op, vals in zip(xs, ops, _hermite_sums([op.matrix for op in ops], grid, 2.0)):
-        _check_real("W", vals[1])  # vals are Re W and Im W, over 2 sqrt(pi)
+    for x, op, c in zip(xs, ops, coeffs):
+        # Re W and Im W, over 2 sqrt(pi), each computed as it is read
+        vals = re_rows[:c.shape[1]].T @ c @ im_rows[:c.shape[1]]
+        _check_real("W", vals[1])
         out.append(_distribution(x, op, "W", grid, (2.0 * math.sqrt(math.pi)) * vals[0]))
     return out
 
 
-def _characteristic(mat: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Tr[X D(beta)] = W_(Pi X)(beta/2) / 2, Pi = (-1)^n; psi reads 2 Re(beta/2) = Re beta."""
-    (parts,) = _hermite_sums([mat * (-1.0) ** np.arange(mat.shape[0])[:, None]], grid, 1.0)
-    return math.sqrt(math.pi) * (parts[0] + 1j * parts[1])
+def _char_quadrature(mat: np.ndarray, alpha: complex, grid: PhaseGrid):
+    """Sum of Tr[X D(beta)] e^(alpha beta* - alpha* beta) h^2/pi over the grid,
+    and the largest |Tr[X D(beta)]| on its boundary ring.
+
+    Tr[X D(beta)] = W_(Pi X)(beta/2) / 2 = sqrt(pi) Psi_re^T C Psi_im, with C
+    of Pi X and psi at scale 1.  The phase is f(Re beta) g(Im beta), f =
+    e^(2i Im alpha Re beta) and g = e^(-2i Re alpha Im beta), so the sum is
+    sqrt(pi) (Psi_re f)^T C (Psi_im g) h^2/pi, and the ring is the first and
+    last grid line along each axis.
+    """
+    parity = (-1.0) ** np.arange(mat.shape[0])[:, None]
+    (c,), re_rows, im_rows, (x, y) = _hermite_terms([mat * parity], grid, 1.0)
+    re_rows, im_rows = re_rows[:c.shape[1]], im_rows[:c.shape[1]]
+    ends = [0, -1]
+    # real and imaginary parts along the two Re beta lines, then the two Im beta lines
+    lines = (re_rows[:, ends].T @ c @ im_rows, re_rows.T @ (c @ im_rows[:, ends]))
+    root = math.sqrt(math.pi)
+    edge = root * max(float(np.max(np.hypot(*parts))) for parts in lines)
+    f, g = np.exp(2j * alpha.imag * x), np.exp(-2j * alpha.real * y)
+    total = (re_rows @ f) @ (c[0] + 1j * c[1]) @ (im_rows @ g)
+    return complex(total) * (root * grid.spacing**2 / math.pi), edge
 
 
-def _hermite_sums(mats: list, grid: PhaseGrid, scale: float):
-    """Psi_re^T C Psi_im of each X, with psi_k at scale Re alpha and scale Im alpha.
+def _hermite_terms(mats: list, grid: PhaseGrid, scale: float):
+    """C of each X, and psi_k at scale Re alpha and at scale Im alpha.
 
-    Real and imaginary parts, shape (2, n, n), each computed as it is read;
-    one `_mode_coefficients` pass serves every X.  psi_0(t) is a normal
-    float only for |t| <= 2 W_REACH: a grid past 2 W_REACH / scale along
-    either axis raises ValidationError before anything is computed.
+    Returns the `_mode_coefficients` of the trimmed Xs, the two axes' Hermite
+    rows, shape (2 dim - 1, n) with dim the largest trimmed X's, and the two
+    axes themselves; one `_mode_coefficients` pass serves every X.
+    psi_0(t) is a normal float only for |t| <= 2 W_REACH: a grid past
+    2 W_REACH / scale along either axis raises ValidationError before
+    anything is computed.
     """
     off = grid.axis_offsets()
     axes = (grid.center.real + off, grid.center.imag + off)
@@ -422,7 +456,7 @@ def _hermite_sums(mats: list, grid: PhaseGrid, scale: float):
         f"{len(mats)} Hermite sums of {dim} levels on {off.size} x {off.size} points")
     coeffs = _mode_coefficients(mats, dim)
     re_rows, im_rows = (_hermite_rows(scale * axis, count) for axis in axes)
-    return (re_rows[:c.shape[1]].T @ c @ im_rows[:c.shape[1]] for c in coeffs)
+    return coeffs, re_rows, im_rows, axes
 
 
 def _hermite_rows(t: np.ndarray, count: int) -> np.ndarray:

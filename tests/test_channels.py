@@ -444,6 +444,16 @@ class TestKrausSet:
             assert_allclose(total, np.eye(24), atol=1e-12)
             assert ks.completeness_residual <= 1e-10
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
+    def test_residual_is_the_dense_sum_bit_for_bit(self, lam, dim):
+        # the weights' squares, summed in ascending j, are what the GEMMs give
+        ks = attenuator_kraus(lam, dim)
+        total = sum(k.conj().T @ k for k in ks)
+        low = max(1, 3 * dim // 4)
+        dense = float(np.max(np.abs(total[:low, :low] - np.eye(dim)[:low, :low])))
+        assert ks.completeness_residual == dense
+
     def test_stack_over_the_budget_raises(self, monkeypatch):
         # dim complex dim x dim matrices, 16 dim^3 bytes
         monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", 16 * 12**3 - 1)

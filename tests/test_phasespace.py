@@ -7,6 +7,7 @@ and are cross-checked here; number-state closed forms pin them absolutely.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ class TestPointEvaluators:
             assert ps.w_char_at(state, alpha, grid) == pytest.approx(
                 ps.w_at(state, alpha), abs=5e-3)
 
+    @pytest.mark.parametrize("alpha", [math.pi / 0.05, 1e155, 1e155j, 0.5 * math.pi / 0.05])
+    def test_quadrature_refuses_an_aliased_point(self, alpha):
+        # the sum on spacing h is W made periodic with period pi/h: at pi/h
+        # it returned the vacuum's peak 2 again, at 1e155 it returned -0.08
+        grid = ps.PhaseGrid(half_extent=4.0, spacing=0.05)
+        with pytest.raises(ValidationError, match=r"pi/\(2h\) = 31\.4159"):
+            ps.w_char_at(fock.fock_state(0, 16), alpha, grid)
+
+    def test_quadrature_below_the_alias_limit_still_answers(self):
+        grid = ps.PhaseGrid(half_extent=4.0, spacing=0.05)
+        val = ps.w_char_at(fock.fock_state(0, 16), 0.999 * 0.5 * math.pi / 0.05, grid)
+        assert val == pytest.approx(0.0, abs=5e-3)
+
+    def test_quadrature_peak_memory_is_axis_sized(self):
+        # a 2001 x 2001 beta grid: one complex lattice alone would be 64 MB
+        grid = ps.PhaseGrid(half_extent=5.0, spacing=0.005)
+        state = fock.thermal_state(1.0, 32)
+        tracemalloc.start()
+        try:
+            val = ps.w_char_at(state, 0.5 + 0.5j, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert val == pytest.approx(ps.w_at(state, 0.5 + 0.5j), abs=5e-3)
+
     def test_quadrature_route_boundary_guard(self):
         grid = ps.PhaseGrid(half_extent=2.0, spacing=0.05)
         with pytest.raises(GridTooSmallError):
@@ -220,10 +247,17 @@ FOLD_CASES = pytest.mark.parametrize("mat,grid", [
 
 class TestDisplacementTraceGrid:
     @FOLD_CASES
-    def test_matches_per_point_displacement_oracle(self, mat, grid):
+    @pytest.mark.parametrize("alpha", [0.0, 0.7 - 0.4j, 1.5j])
+    def test_matches_per_point_displacement_oracle(self, mat, grid, alpha):
+        # the axis-wise sum and its boundary ring against a lattice of
+        # per-point traces, summed against the phase point by point
         betas = grid.alphas()
-        got = ps._characteristic(mat, grid)
-        assert np.max(np.abs(got - _displacement_trace_oracle(mat, betas))) < 1e-10
+        chi = _displacement_trace_oracle(mat, betas)
+        phase = np.exp(alpha * betas.conj() - np.conj(alpha) * betas)
+        expected = np.sum(chi * phase) * grid.spacing**2 / math.pi
+        value, edge = ps._char_quadrature(mat, complex(alpha), grid)
+        assert abs(value - expected) < 1e-10
+        assert abs(edge - np.max(np.abs(chi[grid.boundary_mask()]))) < 1e-10
 
     @FOLD_CASES
     def test_husimi_matches_per_point_coherent_oracle(self, mat, grid):
