@@ -25,11 +25,15 @@ entries rather than aborting.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import threading
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -524,6 +528,39 @@ _CHECKS: tuple = (
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
+@cache
+def _blas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of numpy's and scipy's OpenBLAS; each
+    returns the count it replaces.  None under MKL or OpenBLAS < 0.3.27."""
+    site = Path(np.__file__).resolve().parent.parent
+    setters = []
+    for path in [*site.glob("numpy.libs/*openblas*"), *site.glob("scipy.libs/*openblas*")]:
+        with suppress(OSError, AttributeError):
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(setter)
+    return tuple(setters)
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_held: list = []  # the counts each running suite replaced; all but the first read 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """BLAS on one thread while any suite runs.  The count is process-wide in
+    OpenBLAS's pthreads builds, so the last suite out restores the first's."""
+    with _BLAS_LOCK:
+        _blas_held.append([setter(1) for setter in _blas_thread_setters()])
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            for setter, count in zip(_blas_thread_setters(), _blas_held.pop()):
+                setter(count)
+
+
+@_one_blas_thread()
 def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     """Run the selected checks and aggregate one report.
 
@@ -531,7 +568,9 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     note; the suite itself always completes.  Checks run in order in the
     calling thread and share one lazily built `_Shared` for this call.
     Results are deterministic for a fixed config: the battery is seeded and
-    no check consults global state.
+    BLAS runs on one thread, restoring the caller's count on every exit: after
+    each threaded call OpenBLAS's idle worker spins ~0.1 s, and at dim 64 the
+    four eigh_tridiagonal calls took 27-42 ms on two threads, 11-12 ms on one.
     """
     config = config or VerifyConfig()
     selected = [c for c in _CHECKS if config.only is None or c[0] in config.only]

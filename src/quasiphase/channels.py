@@ -27,8 +27,8 @@ leak what it holds.  The input's type decides what an explicit output dim
 may cut: a DensityOperator that loses more than TRACE_TOLERANCE of its
 trace raises TraceLeakError, while a bare operator, such as the parity
 operator whose truncated trace legitimately moves, is cropped as asked.
-The squeezer's ancilla holds the same growth; population at its cut
-raises AncillaTailError.
+The squeezer's ancilla holds the same growth; a first-order bound on
+the population its cut stops above tail_tolerance raises AncillaTailError.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
@@ -567,8 +567,11 @@ def _dilated_action(coupling, shift: int, mat: np.ndarray, anc_dim: int,
     diag(i^k) (-iS) diag(i^-k), S real symmetric tridiagonal with those
     amplitudes, so the column of |m,0> is i^k times the first row of
     exp(-iS).  A beamsplitter's chain (shift -1) ends by itself at k = m; a
-    squeezer's (shift 1) is cut at the ancilla's top level, where population
-    above `tail_tolerance` raises AncillaTailError.
+    squeezer's (shift 1) is cut at the ancilla's top level, dropping its
+    coupling c.  To first order (Duhamel, as `fock._displacement_register`)
+    the wave the cut stops has norm <= c |top amplitude|, as the squeezer
+    fills the top site monotonically; its square, summed by |X[m, m]| per
+    unit trace, above `tail_tolerance` raises AncillaTailError.
     """
     live = mat.shape[0]
     if anc_dim < 1:
@@ -576,23 +579,23 @@ def _dilated_action(coupling, shift: int, mat: np.ndarray, anc_dim: int,
     dim_out = live + anc_dim - 1 if shift > 0 else live
     _check_dense_budget(16 * dim_out * dim_out, f"{what} output of {dim_out} levels")
     amps = np.zeros((live, anc_dim), dtype=np.complex128)
-    top = 0.0  # population at ancilla cuts
+    stopped = 0.0  # bound on the population the ancilla cuts stop
     for m in range(live):
         sites = anc_dim if shift > 0 else m + 1
         row = _tridiagonal_expm_rows(sites, lambda k: coupling(m + shift * k, k), 1)[0]
         amps[m, :sites] = row * _I_POWERS[np.arange(sites) % 4]
-        if coupling(m + shift * (sites - 1), sites - 1) != 0.0:
-            top += mat[m, m].real * abs(amps[m, sites - 1]) ** 2
+        cut = coupling(m + shift * (sites - 1), sites - 1) * abs(amps[m, sites - 1])
+        stopped += abs(mat[m, m]) * cut * cut
     out = np.zeros((dim_out, dim_out), dtype=np.complex128)
     for k in range(anc_dim):  # out[m+shift k, n+shift k] += c_m[k] X[m,n] c_n[k]*
         lo = max(0, -shift * k)
         w = amps[lo:, k]
         out[lo + shift * k:live + shift * k, lo + shift * k:live + shift * k] += (
             np.outer(w, w.conj()) * mat[lo:, lo:])
-    top = abs(top) / max(1.0, abs(float(np.trace(mat).real)))
-    if top > tail_tolerance:
-        raise AncillaTailError(f"{what}: ancilla top level holds {top:.3e}; "
-                               f"enlarge anc_dim", tail_mass=float(top))
+    stopped /= max(1.0, abs(float(np.trace(mat).real)))
+    if stopped > tail_tolerance:
+        raise AncillaTailError(f"{what}: the ancilla cut may stop {stopped:.3e} of the trace; "
+                               f"enlarge anc_dim", tail_mass=float(stopped))
     return out
 
 

@@ -62,7 +62,7 @@ class TraceLeakError(QuasiphaseError):
 
 
 class AncillaTailError(QuasiphaseError):
-    """A dilation ancilla register is too small; population reached its top level."""
+    """A dilation ancilla register is too small: its cut may stop too much population."""
 
     def __init__(self, message: str, tail_mass: float):
         super().__init__(message)

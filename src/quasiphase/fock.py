@@ -11,7 +11,7 @@ are real tridiagonal up to a diagonal phase; one helper,
 `_tridiagonal_expm_rows`, exponentiates all three, each on a register
 that `_required_dim` sizes to leave at most ULP_TAIL.
 
-Conventions: the annihilation matrix has sqrt(n) on the first superdiagonal,
+Conventions: the annihilation operator has sqrt(n) on the first superdiagonal,
 a[n-1, n] = sqrt(n); the displaced parity operator carries the factor 2,
 pi(alpha) = 2 D(alpha) (-1)^n D(alpha)^dag, so its phase-space expectation
 Tr[X pi(alpha)] is the Wigner function with vacuum peak 2.
@@ -39,7 +39,6 @@ __all__ = [
     "TailReport",
     "TruncatedOperator",
     "DensityOperator",
-    "annihilation_matrix",
     "fock_state",
     "coherent_amplitudes",
     "coherent_tail",
@@ -170,13 +169,6 @@ def _check_dim(dim: int) -> int:
     dim = int(dim)
     _check_dense_budget(16 * dim**2, f"a {_count(dim)} x {_count(dim)} complex matrix")
     return dim
-
-
-def annihilation_matrix(dim: int) -> TruncatedOperator:
-    """Annihilation operator block: sqrt(n) on the first superdiagonal."""
-    dim = _check_dim(dim)
-    mat = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
-    return TruncatedOperator(mat, label=f"annihilation(dim={dim})")
 
 
 def fock_state(n: int, dim: int) -> DensityOperator:

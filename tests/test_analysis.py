@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -380,6 +382,113 @@ class TestVerifySuite:
             assert [w_samples_of(d) for d in doubles] == [1] * double
         work = [alpha for alpha, dim in parities if dim == 4 * config.dim]
         assert work == (list(analysis._PARITY_POINTS) if only is None else [])
+
+
+def blas_counts() -> list:
+    """Each bundled OpenBLAS's thread count, read through its setter."""
+    counts = []
+    for setter in analysis._blas_thread_setters():
+        counts.append(setter(1))
+        setter(counts[-1])
+    return counts
+
+
+@pytest.mark.skipif(not analysis._blas_thread_setters(),
+                    reason="neither numpy.libs nor scipy.libs holds an OpenBLAS "
+                           "that exports openblas_set_num_threads_local")
+class TestVerifySuiteBlasThreads:
+    CHEAP = "amplified_vacuum_is_thermal"
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        # Start from a count other than one, so that restoring it shows.
+        found = [setter(2) for setter in analysis._blas_thread_setters()]
+        self.before = blas_counts()
+        yield
+        for setter, count in zip(analysis._blas_thread_setters(), found):
+            setter(count)
+
+    def test_one_thread_inside_and_restored_after_a_return(self, monkeypatch):
+        seen = []
+
+        def runner(config, shared):
+            seen.append(blas_counts())
+            return 0.0, None
+
+        monkeypatch.setattr(analysis, "_CHECKS", ((self.CHEAP, 1e-8, runner),))
+        assert verify_suite(VerifyConfig(dim=8)).passed
+        assert seen == [[1] * len(self.before)]
+        assert blas_counts() == self.before == [2] * len(self.before)
+
+    def test_restored_when_a_check_raises_past_the_suite(self, monkeypatch):
+        def runner(config, shared):
+            raise RuntimeError("not a QuasiphaseError")
+
+        monkeypatch.setattr(analysis, "_CHECKS", ((self.CHEAP, 1e-8, runner),))
+        with pytest.raises(RuntimeError, match="not a QuasiphaseError"):
+            verify_suite(VerifyConfig(dim=8))
+        assert blas_counts() == self.before
+
+    def test_restored_after_two_threads_at_once(self, monkeypatch):
+        # Both suites are inside at once.  The first to leave must not hand
+        # the count back under the second; the last to leave restores it.
+        (check,) = [runner for name, _, runner in analysis._CHECKS if name == self.CHEAP]
+        inside, first_left = threading.Barrier(2, timeout=30), threading.Event()
+        seen, reports = {}, {}
+
+        def runner(config, shared):
+            inside.wait()
+            if threading.current_thread().name == "second":
+                seen["first left"] = first_left.wait(timeout=30)
+                seen["second"] = blas_counts()
+            return check(config, shared)
+
+        def run():
+            label = threading.current_thread().name
+            reports[label] = verify_suite(VerifyConfig(dim=8, only=(self.CHEAP,)))
+            if label == "first":
+                first_left.set()
+
+        monkeypatch.setattr(analysis, "_CHECKS", ((self.CHEAP, 1e-8, runner),))
+        threads = [threading.Thread(target=run, name=name) for name in ("first", "second")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert seen == {"first left": True, "second": [1] * len(self.before)}
+        assert reports["first"].passed and reports["second"].passed
+        assert blas_counts() == self.before
+
+    def test_many_threads_never_see_the_count_back_while_a_suite_runs(self, monkeypatch):
+        # More threads than cores, switching often: a suite that handed the
+        # count back under another would show here as a count other than 1.
+        seen = []
+
+        def runner(config, shared):
+            seen.append(blas_counts())
+            return 0.0, None
+
+        def run():
+            for _ in range(50):
+                verify_suite(config)
+
+        monkeypatch.setattr(analysis, "_CHECKS", ((self.CHEAP, 1e-8, runner),))
+        config = VerifyConfig(dim=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [[1] * len(self.before)] * 200
+        assert blas_counts() == self.before
+        assert analysis._blas_held == []
 
 
 class TestReportSerialization:

@@ -527,9 +527,22 @@ class TestDilations:
 
     def test_ancilla_tail_error(self):
         # The truncated register evolution is unitary, so no trace goes
-        # missing; what shows the cut is the population at its top level.
+        # missing; what shows the cut is the wave it stops.
         with pytest.raises(AncillaTailError):
             amplifier_dilated(2.0, coherent_state(1.0, 16)[0].op, anc_dim=3)
+
+    def test_ancilla_cut_bounds_the_error_not_the_top_population(self):
+        # The top level holds 6.3e-9 here, under the 1e-8 tolerance, yet
+        # the output sits 1.8e-8 from the kernel.
+        with pytest.raises(AncillaTailError):
+            amplifier_dilated(2.0, random_density(40, 3, rng=1).op, anc_dim=100)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_ancilla_with_linear_headroom_passes(self, n):
+        # 4(n+1)+48 ancilla levels hold the amplified Fock n at dim 64.
+        state = fock_state(n, 64)
+        dilated = amplifier_dilated(2.0, state, anc_dim=4 * (n + 1) + 48)
+        assert trace_distance(amplifier_apply(2.0, state), dilated) < 1e-14
 
     def test_ancilla_over_the_budget_raises_before_allocating(self):
         # One live level on 9000 ancilla levels: a 9000-level output register.

@@ -44,31 +44,6 @@ def poisson_tail_oracle(alpha: complex, dim: int) -> float:
     return 1.0 - math.exp(-y) * kept
 
 
-class TestAnnihilation:
-    def test_entries_small(self):
-        a = fock.annihilation_matrix(3).matrix
-        expected = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]])
-        assert_allclose(a, expected, atol=1e-15)
-
-    def test_dim_one_is_zero(self):
-        assert_allclose(fock.annihilation_matrix(1).matrix, [[0.0]])
-
-    @pytest.mark.parametrize("bad", [0, -3, 2.5])
-    def test_rejects_bad_dim(self, bad):
-        with pytest.raises(InvalidDimensionError):
-            fock.annihilation_matrix(bad)
-
-    def test_commutator_exact_except_corner(self):
-        # [a, a^dag] = 1 everywhere the truncation can represent it; the
-        # last diagonal entry absorbs -(dim-1).
-        dim = 64
-        a = fock.annihilation_matrix(dim).matrix
-        comm = a @ a.conj().T - a.conj().T @ a
-        expected = np.eye(dim)
-        expected[-1, -1] = -(dim - 1)
-        assert_allclose(comm, expected, atol=1e-12)
-
-
 class TestFockState:
     def test_projector(self):
         state = fock.fock_state(2, 5)
@@ -95,7 +70,6 @@ class TestDenseBudget:
         lambda d: fock.random_density(d, rank=1, support=2, rng=0),
         lambda d: fock.displacement_matrix(0.5, d),
         lambda d: fock.displaced_parity(0.5, d),
-        lambda d: fock.annihilation_matrix(d),
     ])
     def test_state_over_the_budget_raises_before_allocating(self, build):
         tracemalloc.start()
@@ -312,7 +286,7 @@ class TestMetrics:
 
 class TestShapeTools:
     def test_embed_then_crop_roundtrip(self):
-        op = fock.annihilation_matrix(5)
+        op = fock.TruncatedOperator(np.diag(np.sqrt(np.arange(1, 5)), 1))
         back = fock.crop(fock.embed(op, 9), 5)
         assert np.array_equal(back.matrix, op.matrix)
 
