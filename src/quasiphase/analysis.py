@@ -531,7 +531,7 @@ CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 @cache
 def _blas_thread_setters() -> tuple:
     """openblas_set_num_threads_local of numpy's and scipy's OpenBLAS; each
-    returns the count it replaces.  None under MKL or OpenBLAS < 0.3.27."""
+    returns the count it replaces.  Empty under MKL or OpenBLAS < 0.3.27."""
     site = Path(np.__file__).resolve().parent.parent
     setters = []
     for path in [*site.glob("numpy.libs/*openblas*"), *site.glob("scipy.libs/*openblas*")]:
