@@ -67,7 +67,8 @@ from .fock import (
     thermal_state,
     trace_distance,
 )
-from .phasespace import PhaseGrid, _check_quadrature, sample, sample_wigner, weierstrass
+from .phasespace import (PhaseGrid, _check_grid_budget, _check_quadrature, sample,
+                         sample_wigner, weierstrass)
 
 __all__ = [
     "PSD_MARGIN_TOLERANCE",
@@ -125,11 +126,7 @@ class ClassicalityReport:
 
 def _work_block(x, work_dim: int) -> TruncatedOperator:
     op = _as_operator(x)
-    if op.dim > work_dim:
-        return crop(op, work_dim)
-    if op.dim < work_dim:
-        return embed(op, work_dim)
-    return op
+    return crop(op, work_dim) if op.dim >= work_dim else embed(op, work_dim)
 
 
 def _regularized_preimage(state, order: int, epsilon: float,
@@ -263,7 +260,8 @@ class VerifyConfig:
             f"the verify suite at dim {_count(dim)} (ten battery states of "
             f"{_count(16 * dim**2)} bytes each, parity checks at dim {_count(4 * dim)})")
         _grid_of(self)  # PhaseGrid validates the geometry
-        _halfstep_grid(self)  # the largest grid the suite samples fits the budget
+        # three sets of ten W samples, at most half-step sized, and one route's arrays
+        _check_grid_budget(_halfstep_grid(self), 3 * 10 * 8 + 32, "the verify suite's W samples")
         names = set(CHECK_NAMES)
         for key, value in dict(self.tolerances).items():
             if key not in names:

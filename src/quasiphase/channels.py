@@ -20,15 +20,18 @@ against each other:
   on the conserved chain of each input level |m,0>, with the ancilla
   traced out afterwards.
 
-Trace bookkeeping: amplification grows support, so outputs default to the
-fewest levels at which the live block leaks at most ULP_TAIL of a unit
-trace (`_amplifier_grown_dim`); a level trimmed from the live block can
-leak what it holds.  The input's type decides what an explicit output dim
-may cut: a DensityOperator that loses more than TRACE_TOLERANCE of its
-trace raises TraceLeakError, while a bare operator, such as the parity
-operator whose truncated trace legitimately moves, is cropped as asked.
-The squeezer's ancilla holds the same growth; a first-order bound on
-the population its cut stops above tail_tolerance raises AncillaTailError.
+Trace bookkeeping: every truncation here keeps the live block, the levels
+up to the last row or column holding an entry above LIVE_TOLERANCE (1e-16)
+of max(1, max|X|) (`fock._live`).  Amplification grows support, so
+outputs default to the fewest levels at which the live block leaks at
+most ULP_TAIL of a unit trace (`_amplifier_grown_dim`); a level trimmed
+from the live block can leak what it holds.  The input's type decides
+what an explicit output dim may cut: a DensityOperator that loses more
+than TRACE_TOLERANCE of its trace raises TraceLeakError, while a bare
+operator, such as the parity operator whose truncated trace legitimately
+moves, is cropped as asked.  The squeezer's ancilla holds the same
+growth; a first-order bound on the population its cut stops above
+TAIL_TOLERANCE raises AncillaTailError.
 
 Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
@@ -55,6 +58,7 @@ from scipy.special import digamma, gammaln, nbdtrc, roots_laguerre
 
 from .errors import AncillaTailError, TraceLeakError, ValidationError
 from .fock import (
+    TAIL_TOLERANCE,
     TRACE_TOLERANCE,
     ULP_TAIL,
     DensityOperator,
@@ -64,11 +68,11 @@ from .fock import (
     _check_dim,
     _count,
     _json_number,
+    _live,
     _required_dim,
     _tridiagonal_expm_rows,
     hermiticity_defect,
     trace_distance,
-    trim_dim,
 )
 from .phasespace import _radial_sums
 
@@ -253,9 +257,7 @@ def _amplifier_grown_dim(kappa: float, live: int) -> int:
 
 
 def _amplifier_default_dim(kappa: float, mat: np.ndarray) -> int:
-    if kappa == 1.0:
-        return mat.shape[0]
-    return _amplifier_grown_dim(kappa, trim_dim(mat, 1e-14 * max(1.0, float(np.max(np.abs(mat))))))
+    return mat.shape[0] if kappa == 1.0 else _amplifier_grown_dim(kappa, _live(mat).shape[0])
 
 
 _TILE = 128  # output and input levels per GEMM tile
@@ -452,10 +454,11 @@ def amplifier_apply(kappa: float, x, dim_out: int | None = None) -> TruncatedOpe
     diagonal at once, in balanced tiles (`_toeplitz_apply`).  The default
     output dim is the fewest levels at which the live block leaks at most
     ULP_TAIL of a unit trace (`_amplifier_grown_dim`); a level trimmed from
-    the live block, below 1e-14 of the largest entry, can leak what it
-    holds.  A DensityOperator that loses more than TRACE_TOLERANCE of its
-    trace at an explicit `dim_out` raises TraceLeakError naming the
-    deficit; a bare operator or matrix is cropped as asked.
+    the live block, at or below 1e-16 of the scale (`fock._live`), can
+    leak what it holds.  A DensityOperator that loses more than
+    TRACE_TOLERANCE of its trace at an explicit `dim_out` raises
+    TraceLeakError naming the deficit; a bare operator or matrix is
+    cropped as asked.
     """
     spec = Amplifier(kappa)
     kappa = spec.kappa
@@ -551,12 +554,6 @@ def attenuator_kraus(lam: float, dim: int) -> KrausSet:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _live_block(x) -> tuple[TruncatedOperator, np.ndarray]:
-    op = _as_operator(x)
-    live = trim_dim(op.matrix, 1e-14 * max(1.0, float(np.max(np.abs(op.matrix)))))
-    return op, op.matrix[:live, :live]  # dead levels only waste register space
-
-
 def _dilated_action(coupling, shift: int, mat: np.ndarray, anc_dim: int,
                     tail_tolerance: float, what: str) -> np.ndarray:
     """U (X (x) |0><0|) U^dag traced over the ancilla, one chain per input level.
@@ -599,23 +596,24 @@ def _dilated_action(coupling, shift: int, mat: np.ndarray, anc_dim: int,
     return out
 
 
-def amplifier_dilated(kappa: float, x, anc_dim: int | None = None,
-                      tail_tolerance: float = 1e-8) -> TruncatedOperator:
+def amplifier_dilated(kappa: float, x, anc_dim: int | None = None) -> TruncatedOperator:
     """Two-mode squeezer with vacuum ancilla; the independent amplifier oracle.
 
     exp(r (a_s^dag a_a^dag - a_s a_a)) conserves n_s - n_a, so |m,0> stays on
     |m+k, k> with amplitudes r sqrt((m+k+1)(k+1)).  The ancilla counts the
     photons added, so by default it holds the kernel's own growth,
     `_amplifier_default_dim` - live + 1 levels, and the output has the
-    kernel's default dim, live + anc_dim - 1.
+    kernel's default dim, live + anc_dim - 1.  Dead levels (`fock._live`)
+    would only waste register space.
     """
     kappa = Amplifier(kappa).kappa
-    op, mat = _live_block(x)
+    op = _as_operator(x)
+    mat = _live(op.matrix)
     if anc_dim is None:
         anc_dim = _amplifier_default_dim(kappa, mat) - mat.shape[0] + 1
     r = math.acosh(math.sqrt(kappa))
     out = _dilated_action(lambda n, k: r * np.sqrt((n + 1.0) * (k + 1.0)), 1, mat,
-                          anc_dim, tail_tolerance, f"amplifier_dilated({kappa})")
+                          anc_dim, TAIL_TOLERANCE, f"amplifier_dilated({kappa})")
     return TruncatedOperator(out, label=f"amplifier_dilated({kappa})[{op.label}]")
 
 
@@ -627,7 +625,8 @@ def attenuator_dilated(lam: float, x) -> TruncatedOperator:
     k = m, so registers of the live block cut no chain.
     """
     lam = Attenuator(lam).transmissivity
-    op, mat = _live_block(x)
+    op = _as_operator(x)
+    mat = _live(op.matrix)
     theta = math.acos(math.sqrt(lam))
     out = _dilated_action(lambda n, k: -theta * np.sqrt(n * (k + 1.0)), -1, mat,
                           mat.shape[0], math.inf, f"attenuator_dilated({lam})")
@@ -637,7 +636,8 @@ def attenuator_dilated(lam: float, x) -> TruncatedOperator:
 def apply(spec: ChannelSpec, x) -> TruncatedOperator:
     """Apply any ChannelSpec with the closed-form kernels.
 
-    Composition trims levels below 1e-16 of the scale between stages so
+    Composition trims each stage's input to its live block (`fock._live`
+    drops trailing levels at or below LIVE_TOLERANCE of the scale) so
     amplifier growth does not snowball.
     """
     op = _as_operator(x)
@@ -652,12 +652,7 @@ def apply(spec: ChannelSpec, x) -> TruncatedOperator:
     if isinstance(spec, Compose):
         current = op
         for item in reversed(spec.items):
-            keep = trim_dim(current.matrix,
-                            1e-16 * max(1.0, float(np.max(np.abs(current.matrix)))))
-            if keep < current.dim:
-                current = TruncatedOperator(current.matrix[:keep, :keep],
-                                            label=current.label)
-            current = apply(item, current)
+            current = apply(item, TruncatedOperator(_live(current.matrix), label=current.label))
         return current
     raise ValidationError(f"not a channel spec: {spec!r}")
 
@@ -683,11 +678,10 @@ def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
         return apply(Compose((Amplifier(2.0), Attenuator(0.5))), op).relabeled(
             f"double_smooth_reversed[{op.label}]")
     if route == "projection":
-        mat = op.matrix
-        live = trim_dim(mat, 1e-16 * max(1.0, float(np.max(np.abs(mat)))))
-        work = mat[:live, :live]
+        work = _live(op.matrix)
+        live = work.shape[0]
         # The image has an amplified tail; reconstruct on the grown dim.
-        dim_out = _amplifier_default_dim(2.0, mat)
+        dim_out = _amplifier_grown_dim(2.0, live)
         # With t = |alpha|^2 every entry's integrand is e^(-2t) times a
         # polynomial of degree <= live + dim_out - 2: Gauss-Laguerre in u = 2t
         # integrates it exactly.  The angle integral of <m|alpha><alpha|m+e>

@@ -75,22 +75,14 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _real_field(spec: str, token: str, position: int) -> float:
+def _number_field(spec: str, token: str, position: int, kind: type):
+    """`token` as a float or int, or SpecParseError naming its position."""
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
+        what = "an integer" if kind is int else "a real number"
         raise SpecParseError(
-            f"state spec {spec!r}: expected a real number at position "
-            f"{position}, got {token!r}") from None
-
-
-def _int_field(spec: str, token: str, position: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SpecParseError(
-            f"state spec {spec!r}: expected an integer at position "
-            f"{position}, got {token!r}") from None
+            f"state spec {spec!r}: expected {what} at position {position}, got {token!r}") from None
 
 
 def _pair_field(spec: str, body: str, position: int) -> complex:
@@ -98,8 +90,8 @@ def _pair_field(spec: str, body: str, position: int) -> complex:
     if len(parts) != 2:
         raise SpecParseError(
             f"state spec {spec!r}: expected 're,im' at position {position}")
-    re = _real_field(spec, parts[0], position)
-    im = _real_field(spec, parts[1], position + len(parts[0]) + 1)
+    re = _number_field(spec, parts[0], position, float)
+    im = _number_field(spec, parts[1], position + len(parts[0]) + 1, float)
     return complex(re, im)
 
 
@@ -125,11 +117,11 @@ def parse_state_spec(spec: str, dim: int):
             f"state spec {spec!r}: unknown form at position 0; expected one "
             f"of {', '.join(STATE_FORMS)}")
     if head == "fock":
-        return fock_state(_int_field(spec, body, position), dim)
+        return fock_state(_number_field(spec, body, position, int), dim)
     if head == "coherent":
         return coherent_state(_pair_field(spec, body, position), dim)[0]
     if head == "thermal":
-        return thermal_state(_real_field(spec, body, position), dim)
+        return thermal_state(_number_field(spec, body, position, float), dim)
     if head == "parity":
         return displaced_parity(_pair_field(spec, body, position), dim)
     if head == "file":

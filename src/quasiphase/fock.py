@@ -33,6 +33,7 @@ from .errors import BudgetError, InvalidDimensionError, TruncationError, Validat
 __all__ = [
     "DENSE_BUDGET_BYTES",
     "HERMITIAN_TOLERANCE",
+    "LIVE_TOLERANCE",
     "PSD_TOLERANCE",
     "TAIL_TOLERANCE",
     "TRACE_TOLERANCE",
@@ -71,6 +72,9 @@ TAIL_TOLERANCE = 1e-8
 TRACE_TOLERANCE = 1e-8
 # Error a register's cut may leave in a unit trace or a unitary: one ulp of 1.0
 ULP_TAIL = float(np.finfo(float).eps)
+# An entry at or below this fraction of max(1, max|X|) is dead: every
+# truncation of a live block (`_live`) and every dead-diagonal skip drops it.
+LIVE_TOLERANCE = 1e-16
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -228,26 +232,26 @@ def _required_dim(tail_at, tol: float, what: str) -> int:
     return hi
 
 
+def _check_tail(tail_at, dim: int, what: str) -> float:
+    """tail_at(dim), the tail mass lost on `dim` levels; above TAIL_TOLERANCE,
+    TruncationError with the dim `_required_dim` finds for the decreasing tail_at."""
+    tail = tail_at(dim)
+    if tail > TAIL_TOLERANCE:
+        need = _required_dim(tail_at, TAIL_TOLERANCE, what)
+        raise TruncationError(f"{what} loses tail mass {tail:.3e} at dim={dim}; dim={need} "
+                              f"would satisfy tolerance {TAIL_TOLERANCE:g}",
+                              tail_mass=tail, required_dim=need)
+    return tail
+
+
 def coherent_state(alpha: complex, dim: int) -> tuple[DensityOperator, TailReport]:
     """Coherent-state projector |alpha><alpha| and its truncation report."""
     dim = _check_dim(dim)
     alpha = complex(alpha)
     amps = coherent_amplitudes(alpha, dim)  # refuses a non-finite alpha
-    tail = coherent_tail(alpha, dim)
-    if tail > TAIL_TOLERANCE:
-        need = _required_dim(lambda n: coherent_tail(alpha, n), TAIL_TOLERANCE,
-                             f"coherent state alpha={alpha}")
-        raise TruncationError(
-            f"coherent state alpha={alpha} loses tail mass {tail:.3e} at dim={dim}; "
-            f"dim={need} would satisfy tolerance {TAIL_TOLERANCE:g}",
-            tail_mass=tail,
-            required_dim=need,
-        )
-    mat = np.outer(amps, amps.conj())
-    state = as_density(
-        TruncatedOperator(mat, label=f"coherent({alpha})"),
-        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE),
-    )
+    tail = _check_tail(lambda n: coherent_tail(alpha, n), dim, f"coherent state alpha={alpha}")
+    state = as_density(TruncatedOperator(np.outer(amps, amps.conj()), label=f"coherent({alpha})"),
+                       trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE))
     return state, TailReport(input_dim=dim, work_dim=dim, tail_mass=tail)
 
 
@@ -260,22 +264,12 @@ def thermal_state(nbar: float, dim: int) -> DensityOperator:
     if nbar == 0.0:
         return fock_state(0, dim)
     q = nbar / (nbar + 1.0)
-    tail = q**dim
-    if tail > TAIL_TOLERANCE:
-        # q rounds to 1 for nbar past ~1e16, so search rather than divide by log q
-        need = _required_dim(lambda n: q**n, TAIL_TOLERANCE, f"thermal state nbar={nbar}")
-        raise TruncationError(
-            f"thermal state nbar={nbar} loses tail mass {tail:.3e} at dim={dim}; "
-            f"dim={need} would satisfy tolerance {TAIL_TOLERANCE:g}",
-            tail_mass=tail,
-            required_dim=need,
-        )
+    # q rounds to 1 for nbar past ~1e16, so search rather than divide by log q
+    _check_tail(lambda n: q**n, dim, f"thermal state nbar={nbar}")
     probs = (1.0 - q) * q ** np.arange(dim, dtype=np.float64)
     mat = np.diag(probs).astype(np.complex128)
-    return as_density(
-        TruncatedOperator(mat, label=f"thermal({nbar})"),
-        trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE),
-    )
+    return as_density(TruncatedOperator(mat, label=f"thermal({nbar})"),
+                      trace_tolerance=max(TRACE_TOLERANCE, 2.0 * TAIL_TOLERANCE))
 
 
 def _tridiagonal_expm_rows(n: int, off, rows: int) -> np.ndarray:
@@ -465,11 +459,21 @@ def crop(op: TruncatedOperator, dim: int) -> TruncatedOperator:
 
 def trim_dim(x, tol: float) -> int:
     """Smallest dim whose discarded rows and columns are all below the absolute `tol`."""
-    mat = _as_operator(x).matrix
-    row = np.max(np.abs(mat), axis=1)
-    col = np.max(np.abs(mat), axis=0)
-    live = np.nonzero(np.maximum(row, col) > tol)[0]
+    mag = np.abs(_as_operator(x).matrix)
+    live = np.nonzero(np.maximum(mag.max(axis=1), mag.max(axis=0)) > tol)[0]
     return int(live[-1]) + 1 if live.size else 1
+
+
+def _live_floor(mat: np.ndarray) -> float:
+    """LIVE_TOLERANCE of max(1, max|X|): an entry at or below it is dead."""
+    return LIVE_TOLERANCE * max(1.0, float(np.max(np.abs(mat))))
+
+
+def _live(mat: np.ndarray) -> np.ndarray:
+    """The leading block of mat past which every row and column is dead; it
+    keeps mat's scale (`_live_floor`), so trimming it again keeps it whole."""
+    keep = trim_dim(mat, _live_floor(mat))
+    return mat[:keep, :keep]
 
 
 def operator_to_json(op: TruncatedOperator) -> str:

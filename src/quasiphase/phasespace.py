@@ -52,8 +52,8 @@ from .errors import (
     SingularPError,
     ValidationError,
 )
-from .fock import (DensityOperator, _as_operator, _check_dense_budget, _count,
-                   coherent_amplitudes, displaced_parity, trim_dim)
+from .fock import (DensityOperator, _as_operator, _check_dense_budget, _count, _live,
+                   _live_floor, coherent_amplitudes, displaced_parity)
 
 __all__ = [
     "GRID_TOLERANCE",
@@ -108,11 +108,11 @@ class PhaseGrid:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "half_extent", float(self.half_extent))
         object.__setattr__(self, "spacing", float(self.spacing))
-        # 2R/h overflows to inf for extreme geometry: check it against the
-        # budget before int() sees it
-        n = (self.points_per_axis
-             if math.isfinite(2.0 * self.half_extent / self.spacing) else math.inf)
-        _check_dense_budget(16 * n * n, f"phase grid of {_count(n)} x {_count(n)} points")
+        # routes check their own arrays (`_check_grid_budget`); int() needs a finite 2R/h
+        if not math.isfinite(2.0 * self.half_extent / self.spacing):
+            raise ValidationError(
+                f"grid half extent {self.half_extent:g} over spacing {self.spacing:g} "
+                f"overflows: 2R/h must be finite")
 
     @property
     def points_per_axis(self) -> int:
@@ -142,6 +142,12 @@ class PhaseGrid:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask
+
+
+def _check_grid_budget(grid: PhaseGrid, bytes_per_point: int, what: str) -> None:
+    """BudgetError where a route holding `bytes_per_point` a lattice point passes the budget."""
+    n = grid.points_per_axis
+    _check_dense_budget(bytes_per_point * n * n, f"{what} on {_count(n)} x {_count(n)} points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +300,8 @@ def _radial_sums(mat: np.ndarray, y: np.ndarray):
     S_e = sum_m X[m, m+e] R_e[m](y) and L_e = sum_m X[m+e, m] R_e[m](y) at
     each radius y = |alpha|^2, one real GEMM against the real radial rows
     R_e[m] = A[m] A[m+e], A[k] = |<k|alpha>| = e^(-y/2) y^(k/2)/sqrt(k!).
-    A dead offset (both diagonals below 1e-18 of X's largest entry) yields
-    None; L_0 repeats S_0.
+    A dead offset (both diagonals at or below LIVE_TOLERANCE of max(1,
+    max|X|), `fock._live_floor`) yields None; L_0 repeats S_0.
     """
     dim = mat.shape[0]
     # the rows buffer, and beside it the amplitudes
@@ -306,7 +312,7 @@ def _radial_sums(mat: np.ndarray, y: np.ndarray):
     for k in range(1, dim):
         amps[k] = amps[k - 1] * np.sqrt(y / k)
     mag = np.abs(mat)
-    floor = 1e-18 * max(float(mag.max()) if mat.size else 0.0, 1e-300)
+    floor = _live_floor(mat)
     alive = {e for e in range(dim)
              if max(mag.diagonal(e).max(), mag.diagonal(-e).max()) > floor}
     for e in range(max(alive, default=-1), -1, -1):
@@ -346,11 +352,6 @@ def _harmonic_fold(mat: np.ndarray, points) -> np.ndarray:
     return (acc[0] + acc[1]).reshape(points.shape)
 
 
-def _trim_matrix(mat: np.ndarray) -> np.ndarray:
-    keep = trim_dim(mat, tol=1e-16 * max(1.0, float(np.max(np.abs(mat)))))
-    return mat[:keep, :keep]
-
-
 def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
     """Evaluate one distribution of X on every grid point.
 
@@ -367,9 +368,12 @@ def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
         (dist,) = sample_wigner([x], grid)
         return dist
     op = _as_operator(x)
+    # peaks measured at n = 801: Q 137-140 bytes a point (152 holds every
+    # radius distinct), P 41
+    _check_grid_budget(grid, 152 if kind == "Q" else 48, f"{kind} samples")
     alphas = grid.alphas()
     if kind == "Q":
-        vals = _harmonic_fold(_trim_matrix(op.matrix), alphas)
+        vals = _harmonic_fold(_live(op.matrix), alphas)
         _check_real("Q", vals.imag)
         vals = vals.real
     else:
@@ -394,6 +398,8 @@ def sample_wigner(xs, grid: PhaseGrid) -> list:
     operator is checked as `sample` checks it.
     """
     ops = [_as_operator(x) for x in xs]
+    # 8 bytes a point for each kept sample, 32 for one operator's working arrays
+    _check_grid_budget(grid, 8 * len(ops) + 32, f"W of a batch of {len(ops)}")
     coeffs, re_rows, im_rows, _ = _hermite_terms([op.matrix for op in ops], grid, 2.0)
     out = []
     for x, op, c in zip(xs, ops, coeffs):
@@ -435,8 +441,17 @@ def _hermite_terms(mats: list, grid: PhaseGrid, scale: float):
     axes themselves; one `_mode_coefficients` pass serves every X.
     psi_0(t) is a normal float only for |t| <= 2 W_REACH: a grid past
     2 W_REACH / scale along either axis raises ValidationError before
-    anything is computed.
+    any Hermite row is computed.
     """
+    mats = [_live(mat) for mat in mats]
+    dim = max((mat.shape[0] for mat in mats), default=1)
+    count = 2 * dim - 1
+    n = grid.points_per_axis
+    # the stacked inputs and C (16 bytes an entry), both axes' Hermite rows and
+    # the widest block; checked before the axes are made
+    _check_dense_budget(
+        16 * len(mats) * (dim * dim + count * count) + 16 * count * n + 8 * dim * dim,
+        f"{len(mats)} Hermite sums of {dim} levels on {_count(n)} x {_count(n)} points")
     off = grid.axis_offsets()
     axes = (grid.center.real + off, grid.center.imag + off)
     reach = max(float(np.max(np.abs(axis))) for axis in axes)
@@ -445,15 +460,6 @@ def _hermite_terms(mats: list, grid: PhaseGrid, scale: float):
         raise ValidationError(
             f"this route samples |Re alpha| and |Im alpha| up to {limit:.2f}; this "
             f"grid reaches {reach:.6g}")
-    mats = [_trim_matrix(mat) for mat in mats]
-    dim = max((mat.shape[0] for mat in mats), default=1)
-    count = 2 * dim - 1
-    # the stacked inputs and C (16 bytes an entry), both axes' Hermite rows and
-    # the widest block
-    _check_dense_budget(
-        16 * len(mats) * (dim * dim + count * count) + 16 * count * off.size
-        + 8 * dim * dim,
-        f"{len(mats)} Hermite sums of {dim} levels on {off.size} x {off.size} points")
     coeffs = _mode_coefficients(mats, dim)
     re_rows, im_rows = (_hermite_rows(scale * axis, count) for axis in axes)
     return coeffs, re_rows, im_rows, axes
@@ -571,6 +577,8 @@ def weierstrass(dist: QuasiDistribution, t: float) -> QuasiDistribution:
     t = float(t)
     if t <= 0.0:
         raise ValidationError(f"smoothing variance must be positive, got {t}")
+    # the mask, kernel, products and copy: 25 bytes a point measured at n = 801
+    _check_grid_budget(dist.grid, 32, "Gaussian smoothing")
     tolerance = 1e-8
     edge = float(np.max(np.abs(dist.values[dist.grid.boundary_mask()])))
     if edge > tolerance:
@@ -612,6 +620,8 @@ def distribution_to_csv(dist: QuasiDistribution) -> str:
     Values become Python floats one row at a time, so only n of them are
     alive at once.
     """
+    # the lattice, and each line (three reprs of <= 24 characters) twice
+    _check_grid_budget(dist.grid, 16 + 2 * 75, "CSV text")
     alphas = dist.grid.alphas()
     res = [f"{re!r}," for re in alphas[:, 0].real.tolist()]
     ims = [f"{im!r}," for im in alphas[0].imag.tolist()]

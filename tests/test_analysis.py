@@ -214,6 +214,19 @@ class TestVerifyConfig:
         assert info.value.required_bytes == 16 * (4 * 2049) ** 2
         assert peak < 1e6
 
+    def test_budgets_the_suite_w_samples(self):
+        # the half-step grid has 2501 points a side: three sets of ten W
+        # samples and one route's arrays, 272 bytes a point
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                VerifyConfig(grid_step=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_bytes == 272 * 2501**2
+        assert peak < 1e6
+
 
 REDUCED = dict(dim=40, grid_extent=5.0, grid_step=0.1)
 

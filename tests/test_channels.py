@@ -203,16 +203,27 @@ class TestGrowthRule:
 
     def test_default_dim_leaks_at_most_the_trimmed_mass(self):
         # ULP_TAIL bounds the leak of the live block only.  Level 63 holds
-        # 1e-15, below the 1e-14 trim, so the vacuum's 52 levels lose it
-        # whole.  Exact sums put the leak at 5.93 ulps; one more ULP_TAIL
+        # 5e-17, below the 1e-16 trim, so the vacuum's 52 levels lose it
+        # whole.  Exact sums put the leak at 1.23 ulps; one more ULP_TAIL
         # covers the kernel's rounding, 0.43 ulp here.
         mat = np.zeros((64, 64), dtype=complex)
-        mat[0, 0], mat[63, 63] = 1.0, 1e-15
+        mat[0, 0], mat[63, 63] = 1.0, 5e-17
         out = amplifier_apply(2.0, TruncatedOperator(mat))
         assert out.dim == 52
         leak = math.fsum(np.concatenate([mat.diagonal().real, -out.matrix.diagonal().real]))
         trimmed = mat[63, 63].real
         assert trimmed < leak <= 2 * ULP_TAIL + trimmed
+
+    def test_a_level_above_the_trim_grows_the_default_dim(self):
+        # 1e-15 at level 63 is live, so the default dim grows from 64 live
+        # levels and nothing past it holds more than the growth rule allows
+        mat = np.zeros((64, 64), dtype=complex)
+        mat[0, 0], mat[63, 63] = 1.0, 1e-15
+        out = amplifier_apply(2.0, TruncatedOperator(mat))
+        assert out.dim == channels._amplifier_grown_dim(2.0, 64)
+        wide = amplifier_apply(2.0, TruncatedOperator(mat), dim_out=out.dim + 300).matrix
+        leak = math.fsum(np.diagonal(wide).real[out.dim:])
+        assert 0.0 < leak <= 2 * ULP_TAIL
 
 
 class TestAmplifierKernel:
@@ -594,10 +605,12 @@ class TestDilationsAgainstDenseRegister:
         r = math.acosh(math.sqrt(1.5))
         expected = self.register_image(lambda s, a: r * (s.T @ a.T - s @ a), rho)
         # This ancilla cuts every chain with population left; the reference
-        # is the same truncated evolution, so only the tail check is lifted.
-        out = amplifier_dilated(1.5, rho, anc_dim=self.ANC, tail_tolerance=math.inf)
-        assert out.dim == self.SYS - 1
-        assert embedded_max_diff(out, TruncatedOperator(expected)) < 1e-13
+        # is the same truncated evolution, so the chains are summed without
+        # the cut check, as attenuator_dilated sums its own.
+        out = channels._dilated_action(lambda n, k: r * np.sqrt((n + 1.0) * (k + 1.0)), 1,
+                                       rho, self.ANC, math.inf, "squeezer")
+        assert out.shape == (self.SYS - 1,) * 2
+        assert embedded_max_diff(TruncatedOperator(out), TruncatedOperator(expected)) < 1e-13
 
     def test_beamsplitter(self):
         rho = random_density(self.LIVE, rank=2, rng=21).matrix

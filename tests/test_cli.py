@@ -307,7 +307,7 @@ class TestDistCommand:
         assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
         assert run("dist", "W", state, "--grid-extent", "1e300", "--grid-step", "1e-300",
                    "--out", out) == 1
-        assert "dense budget" in capsys.readouterr().err
+        assert "2R/h must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_astronomic_grid_counts_print_in_e_notation(self, tmp_path, capsys):
@@ -316,7 +316,7 @@ class TestDistCommand:
         assert run("state", "vacuum", "--dim", 8, "--out", state) == 0
         assert run("dist", "W", state, "--grid-extent", "1e300", "--out", out) == 1
         err = capsys.readouterr().err
-        assert "4.000e+301 x 4.000e+301 points needs 2.560e+604 bytes" in err
+        assert "4.000e+301 x 4.000e+301 points needs 6.400e+604 bytes" in err
         assert len(err) < 300
         assert not out.exists()
 
@@ -435,7 +435,7 @@ class TestVerifyCommand:
     def test_overflowing_grid_exits_one(self, tmp_path, capsys):
         assert run("verify", "--grid-extent", "1e300", "--grid-step", "1e-300",
                    "--out", tmp_path) == 1
-        assert "dense budget" in capsys.readouterr().err
+        assert "2R/h must be finite" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """No module in src/ or tests/ imports a name it never uses, no private
-top-level function or class in src/ goes unread, and src/ grows no default
-outside an explicit allow-list.
+top-level function or class in src/ goes unread, src/ grows no default
+outside an explicit allow-list, and src/ trims a live block in one place.
 
 Stdlib AST scans.  An import binding counts as used when its name is read
 anywhere in the module, appears in a string annotation, or is re-exported
@@ -138,7 +138,7 @@ ALLOWED_PARAMETERS = [
     "analysis.default_battery(dim)", "analysis.default_battery(seed)",
     "analysis.verify_suite(config)",
     "channels.amplifier_apply(dim_out)",
-    "channels.amplifier_dilated(anc_dim)", "channels.amplifier_dilated(tail_tolerance)",
+    "channels.amplifier_dilated(anc_dim)",
     "channels.coherent_projection(route)",
     "channels.inverse_apply(epsilon)",
     "cli.main(argv)",
@@ -176,3 +176,26 @@ def test_the_scan_sees_every_default():
                      "    z: list = field(default_factory=list)\n"
                      "class B:\n    w: int = 1\n")
     assert defaults("m", tree) == (["m.f(b)", "m.f(d)", "m.g(b)"], ["m.A.y", "m.A.z"])
+
+
+def trim_calls(module: str, tree: ast.Module) -> list:
+    """module.function of each top-level definition that calls trim_dim."""
+    return [f"{module}.{stmt.name}" for stmt in tree.body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and "trim_dim" in names_read(node.func)]
+
+
+def test_one_live_block_rule():
+    # every truncation goes through fock._live and its one threshold, so a
+    # hand-written trim anywhere else in src/ fails here
+    calls = []
+    for path in SOURCES:
+        calls += trim_calls(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert calls == ["fock._live"]
+
+
+def test_the_scan_sees_every_trim():
+    tree = ast.parse("def f(x):\n    return trim_dim(x, 1e-14)\n"
+                     "def g(x):\n    return fock.trim_dim(x, 1e-16) + trim_dim(x, 0.0)\n"
+                     "def h(x):\n    return x.trim_dim\n")
+    assert trim_calls("m", tree) == ["m.f", "m.g", "m.g"]

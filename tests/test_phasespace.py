@@ -72,17 +72,73 @@ class TestPhaseGrid:
         with pytest.raises(ValidationError):
             ps.PhaseGrid(**kwargs)
 
-    def test_lattice_over_the_dense_budget_raises(self):
-        n = 20_000_001
-        with pytest.raises(BudgetError) as info:
-            ps.PhaseGrid(half_extent=1e4, spacing=1e-3)
-        assert info.value.required_bytes == 16 * n * n
-        assert f"{16 * n * n:,} bytes" in str(info.value)
+    def test_a_lattice_past_the_budget_is_only_geometry(self):
+        # the routes that sample it check their own arrays (TestGridBudget)
+        assert ps.PhaseGrid(half_extent=1e4, spacing=1e-3).points_per_axis == 20_000_001
 
-    def test_overflowing_lattice_raises_budget_error(self):
+    def test_overflowing_lattice_raises_validation_error(self):
         # 2R/h is inf here, so the lattice size cannot become an int
-        with pytest.raises(BudgetError, match="dense budget"):
+        with pytest.raises(ValidationError, match="2R/h must be finite"):
             ps.PhaseGrid(half_extent=1e300, spacing=1e-300)
+
+
+def _refusal(call) -> tuple:
+    """The BudgetError `call` raises, and the traced peak until it did."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return info.value, peak
+
+
+class TestGridBudget:
+    """Each grid route checks what it holds per lattice point against the
+    dense budget before it allocates anything of lattice size."""
+
+    # 6001 points a side: 16 bytes a point fit the budget, no route's arrays do
+    LOOSE = ps.PhaseGrid(half_extent=3.0, spacing=0.001)
+
+    def test_a_fine_beta_grid_serves_the_quadrature(self):
+        # 10001 points a side, but the quadrature holds only its axes
+        grid = ps.PhaseGrid(half_extent=5.0, spacing=0.001)
+        state = fock.fock_state(1, 32)
+        got = ps.w_char_at(state, 0.5 + 0.2j, grid)
+        assert got == pytest.approx(ps.w_at(state, 0.5 + 0.2j), abs=1e-5)
+
+    @pytest.mark.parametrize("kind,per_point", [("Q", 152), ("P", 48), ("W", 40)])
+    def test_each_sampler_refuses_before_allocating(self, kind, per_point):
+        state = fock.thermal_state(0.5, 32)
+        error, peak = _refusal(lambda: ps.sample(state, kind, self.LOOSE))
+        n = self.LOOSE.points_per_axis
+        assert error.required_bytes == per_point * n * n
+        assert peak < 2**20
+
+    def test_a_batch_of_w_budgets_every_kept_sample(self, monkeypatch):
+        states = [fock.fock_state(k, 8).matrix for k in range(3)]
+        need = (8 * 3 + 32) * CENTRED.points_per_axis ** 2
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError) as info:
+            ps.sample_wigner(states, CENTRED)
+        assert info.value.required_bytes == need
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", need)
+        assert len(ps.sample_wigner(states, CENTRED)) == 3
+
+    @pytest.mark.parametrize("route,per_point", [
+        (lambda d: ps.weierstrass(d, 0.5), 32),
+        (ps.distribution_to_csv, 166),
+    ], ids=["weierstrass", "csv"])
+    def test_each_distribution_route_refuses_before_allocating(self, monkeypatch,
+                                                               route, per_point):
+        # 401 points a side: each route would hold several MB
+        dist = ps.sample(fock.fock_state(0, 8), "Q", ps.PhaseGrid(half_extent=8.0, spacing=0.04))
+        n = dist.grid.points_per_axis
+        monkeypatch.setattr(fock, "DENSE_BUDGET_BYTES", per_point * n * n - 1)
+        error, peak = _refusal(lambda: route(dist))
+        assert error.required_bytes == per_point * n * n
+        assert peak < 2**20
 
 
 class TestDistributionType:
