@@ -657,7 +657,7 @@ def apply(spec: ChannelSpec, x) -> TruncatedOperator:
     raise ValidationError(f"not a channel spec: {spec!r}")
 
 
-def coherent_projection(x, route: str = "compose") -> TruncatedOperator:
+def coherent_projection(x, route: str) -> TruncatedOperator:
     """Double smoothing of X, which projects onto coherent states.
 
     Three routes realize the same map and certify each other:

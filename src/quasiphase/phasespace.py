@@ -88,7 +88,11 @@ GAUSSIAN_RATIO_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Square lattice center + (j h - R) + i (k h - R), 0 <= j, k <= floor(2R/h)."""
+    """Square lattice center + (j - m) h + i (k - m) h, 0 <= j, k <= 2m = floor(2R/h).
+
+    The lattice is centred: where 2R/h is not a whole number its outer
+    points sit half the remainder inside +-R.
+    """
 
     center: complex = 0j
     half_extent: float = 5.0
@@ -120,11 +124,9 @@ class PhaseGrid:
         return int(math.floor(2.0 * self.half_extent / self.spacing + 1e-9)) + 1
 
     def axis_offsets(self) -> np.ndarray:
+        # (j - (n-1)/2) h: exactly antisymmetric, and nested lattices share points
         n = self.points_per_axis
-        if abs(2.0 * self.half_extent / self.spacing - (n - 1)) <= 1e-9:
-            # (j - (n-1)/2) h: exactly antisymmetric, and nested lattices share points
-            return (np.arange(n) - 0.5 * (n - 1)) * self.spacing
-        return np.arange(n) * self.spacing - self.half_extent
+        return (np.arange(n) - 0.5 * (n - 1)) * self.spacing
 
     def alphas(self) -> np.ndarray:
         """Complex lattice, axis 0 along Re, axis 1 along Im."""
@@ -180,12 +182,15 @@ class GaussianP:
     nbar: float
     weight: float = 1.0
 
-    def value_at(self, alpha: complex) -> float:
+    def value_at(self, alpha):
+        """P at one point (a float) or at an array of points (an array)."""
         if self.nbar <= 0.0:
             raise SingularPError(
                 "P is a delta distribution at nbar=0; no function values exist")
-        y = abs(complex(alpha)) ** 2
-        return self.weight * math.exp(-y / self.nbar) / self.nbar
+        with np.errstate(over="ignore"):  # |alpha|^2 = inf far out, where P is 0
+            y = np.abs(np.asarray(alpha, dtype=np.complex128)) ** 2
+        vals = self.weight * np.exp(-y / self.nbar) / self.nbar
+        return vals if vals.ndim else float(vals)
 
 
 @dataclass(frozen=True)
@@ -382,11 +387,7 @@ def sample(x, kind: str, grid: PhaseGrid) -> QuasiDistribution:
             raise SingularPError(
                 "no closed-form P available for this operator; its P "
                 "distribution is singular or not a recognized Gaussian form")
-        if form.nbar <= 0.0:
-            raise SingularPError(
-                "P is a delta distribution at nbar=0; sample W or Q instead")
-        y = np.abs(alphas) ** 2
-        vals = form.weight * np.exp(-y / form.nbar) / form.nbar
+        vals = form.value_at(alphas)
     return _distribution(x, op, kind, grid, vals)
 
 

@@ -196,6 +196,7 @@ class TestVerifyConfig:
         {"grid_extent": math.inf}, {"grid_extent": math.nan},
         {"grid_step": math.inf}, {"grid_step": math.nan},
         {"seed": -1},
+        {"tolerances": {"photon_number_laws": math.inf}},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -265,6 +266,18 @@ class TestVerifySuite:
         assert not report.passed
         assert report.checks[0].deviation > 1e-300
 
+    def test_errored_check_never_passes(self):
+        # The battery does not fit at dim 8, so the check records deviation
+        # inf and a note; a tolerance of inf written past the validation
+        # still does not pass it.
+        name = "husimi_equals_wigner_of_smoothed"
+        config = VerifyConfig(dim=8, only=(name,))
+        config.tolerances[name] = math.inf
+        report = verify_suite(config)
+        (check,) = report.checks
+        assert check.note.startswith("TruncationError")
+        assert not check.passed and not report.passed
+
     def test_under_resolved_dim_completes_with_failures(self):
         # Battery members do not fit at dim 12; the suite must still
         # finish, carrying the truncation messages in the check notes.
@@ -291,13 +304,15 @@ class TestVerifySuite:
         assert a.discrepancies["amplifier_law_max_residual"] == \
             b.discrepancies["amplifier_law_max_residual"]
 
-    @pytest.mark.parametrize("kwargs", [{}, REDUCED])
+    # the last geometry has 2R/h = 42.86, off the lattice of whole steps
+    @pytest.mark.parametrize("kwargs", [{}, REDUCED, {"grid_extent": 3.0, "grid_step": 0.14}])
     def test_suite_grid_is_the_halfstep_grid_centre(self, kwargs):
         config = VerifyConfig(**kwargs)
         big = analysis._halfstep_grid(config)
-        pad = round((big.half_extent - config.grid_extent) / config.grid_step)
-        assert pad == {0.05: 25, 0.1: 13}[config.grid_step]
         n = analysis._grid_of(config).points_per_axis
+        pad = (big.points_per_axis - n) // 2
+        assert 2 * pad == big.points_per_axis - n
+        assert pad == {0.05: 25, 0.1: 13, 0.14: 9}[config.grid_step]
         centre = big.alphas()[pad:pad + n, pad:pad + n]
         assert np.array_equal(centre, analysis._grid_of(config).alphas())
 
@@ -328,21 +343,20 @@ class TestVerifySuite:
         with pytest.raises(GridTooSmallError):
             shared.w_halfstep
 
-    def test_off_lattice_suite_grid_is_sampled(self, monkeypatch):
-        # 2R/h = 42.86: the suite grid's offsets j h - R are not among the
-        # half-step grid's, so its W is sampled rather than sliced.
-        monkeypatch.setattr(analysis, "default_battery", lambda dim, seed: [fock_state(1, dim)])
-        config = VerifyConfig(dim=20, grid_extent=3.0, grid_step=0.14)
-        shared = analysis._Shared(config)
-        (w,) = shared.w_smoothed
-        direct = analysis.sample(shared.ladders[0].smoothed, "W", analysis._grid_of(config))
-        assert np.array_equal(w.values, direct.values)
+    def test_double_smoothed_rung_is_the_compose_route(self):
+        # apply trims each stage's input to its live block, and a second trim
+        # is a no-op, so C of the smoothed rung is C o C of the state bit for bit
+        shared = analysis._Shared(VerifyConfig())
+        for rho, double in zip(shared.battery, shared.double_smoothed):
+            assert np.array_equal(double.matrix,
+                                  analysis.coherent_projection(rho, "compose").matrix)
 
     @pytest.mark.parametrize("only", [None, ("smoothed_image_wigner_positive",)])
     def test_smoothed_ladder_built_once_per_state(self, monkeypatch, only):
-        # Each battery state is smoothed once and double-smoothed once, W of
-        # each image is sampled once over both grids, and each parity point's
-        # smoothed parity is built once, however many checks read them.
+        # Each battery state is smoothed once, and its smoothed image once
+        # more, with one apply per rung and no compose route; W of each image
+        # is sampled once over both grids, and each parity point's smoothed
+        # parity is built once, however many checks read them.
         batteries, applied, projected, sampled, parities = [], [], [], [], []
         original_battery = analysis.default_battery
         original_apply, original_wigner = analysis.apply, analysis.sample_wigner
@@ -358,7 +372,7 @@ class TestVerifySuite:
             applied.append((spec, x, out))
             return out
 
-        def counting_projection(x, route="compose"):
+        def counting_projection(x, route):
             out = original_projection(x, route=route)
             projected.append((x, route, out))
             return out
@@ -384,12 +398,12 @@ class TestVerifySuite:
 
         (states,) = batteries
         double = 1 if only is None else 0
+        assert not [route for _, route, _ in projected if route == "compose"]
         for rho in states:
             (image,) = [out for spec, x, out in applied
                         if x is rho and spec == smoothing_channel()]
-            assert not [x for spec, x, _ in applied if x is image]
-            doubles = [out for x, route, out in projected
-                       if x is rho and route == "compose"]
+            doubles = [out for spec, x, out in applied
+                       if x is image and spec == smoothing_channel()]
             assert len(doubles) == double
             assert w_samples_of(image) == 1
             assert [w_samples_of(d) for d in doubles] == [1] * double

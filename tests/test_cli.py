@@ -401,6 +401,15 @@ class TestVerifyCommand:
         assert code == 1
         assert read_json(tmp_path / "verify_report.json")["passed"] is False
 
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_infinite_tolerance_exits_one(self, tmp_path, capsys, value):
+        # at dim 8 the check raises; an infinite tolerance would pass it
+        code = run("verify", "--dim", 8, "--only", "husimi_equals_wigner_of_smoothed",
+                   "--tol", f"husimi_equals_wigner_of_smoothed={value}", "--out", tmp_path)
+        assert code == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_bad_tolerance_syntax_exits_one(self, tmp_path, capsys):
         code = run("verify", "--tol", "oops", "--out", tmp_path)
         assert code == 1

@@ -139,7 +139,6 @@ ALLOWED_PARAMETERS = [
     "analysis.verify_suite(config)",
     "channels.amplifier_apply(dim_out)",
     "channels.amplifier_dilated(anc_dim)",
-    "channels.coherent_projection(route)",
     "channels.inverse_apply(epsilon)",
     "cli.main(argv)",
     "fock.random_density(support)", "fock.random_density(rng)",

@@ -8,6 +8,7 @@ and are cross-checked here; number-state closed forms pin them absolutely.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ class TestPhaseGrid:
     def test_points_inexact_division_floors(self):
         grid = ps.PhaseGrid(half_extent=1.0, spacing=0.3)
         assert grid.points_per_axis == 7
-        assert grid.axis_offsets()[-1] == pytest.approx(0.8)
+        # centred: the 0.2 remainder of 2R/h = 6.67 steps splits 0.1 a side
+        assert grid.axis_offsets() == pytest.approx([-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
 
     @pytest.mark.parametrize("extent,step", [(5.0, 0.05), (6.25, 0.05), (5.0, 0.1)])
     def test_centred_offsets_are_antisymmetric(self, extent, step):
@@ -237,6 +239,12 @@ class TestPointEvaluators:
         assert ps.p_thermal_at(0.5, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert ps.p_thermal_at(1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
+    def test_thermal_p_far_out_is_zero(self):
+        # |alpha|^2 overflows to inf, as in q_at, and P reads exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ps.p_thermal_at(1.0, 1e200) == 0.0
+
     def test_thermal_p_delta_limit(self):
         with pytest.raises(SingularPError):
             ps.p_thermal_at(0.0, 0.3)
@@ -417,8 +425,7 @@ class TestHermiteRoute:
 
     def test_battery_and_smoothed_images_match_the_point_route(self):
         shared = analysis._Shared(analysis.VerifyConfig())
-        ops = ([fock._as_operator(rung.rho) for rung in shared.ladders]
-               + [rung.smoothed for rung in shared.ladders])
+        ops = [fock._as_operator(rho) for rho in shared.battery] + shared.smoothed
         grid = ps.PhaseGrid(center=0.37 - 0.21j, half_extent=1.3, spacing=0.13)
         alphas = grid.alphas()
         for op, dist in zip(ops, ps.sample_wigner(ops, grid)):
