@@ -5,10 +5,10 @@ twice and test the regularized preimage for positivity: a PSD preimage under
 one inversion certifies a nonnegative Wigner function, under two a valid
 P representation.  Both certificates are one-sided; a negative margin is
 never a proof of non-classicality, so the verdict is only ever
-CertifiedClassical or Inconclusive.  The inversions and the forward model
-behind the residuals both use the channel's per-offset transfer blocks
-(`channels.superoperator_of`), so an epsilon ladder reuses one cached
-decomposition.
+CertifiedClassical or Inconclusive.  Each inversion is one Tikhonov solve
+(`channels._preimage`) and a certificate reads one round-trip residual
+(`channels._round_trip_residual`), both on the cached per-offset transfer
+blocks, so an epsilon ladder reuses one decomposition.
 
 verify_suite cross-checks every closed-form identity the package relies on
 (distribution ladder, projection routes, parity images, photon-number laws,
@@ -40,13 +40,13 @@ from typing import Mapping
 import numpy as np
 
 from .channels import (
+    _preimage,
+    _round_trip_residual,
     amplifier_apply,
     apply,
     attenuator_apply,
     coherent_projection,
-    inverse_apply,
     smoothing_channel,
-    superoperator_of,
 )
 from .errors import QuasiphaseError, ValidationError
 from .fock import (
@@ -131,21 +131,13 @@ def _work_block(x, work_dim: int) -> TruncatedOperator:
 
 
 def _regularized_preimage(state, order: int, epsilon: float,
-                          work_dim: int) -> tuple[TruncatedOperator, float]:
+                          work_dim: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in (1, 2):
         raise ValidationError(f"criterion order must be 1 or 2, got {order!r}")
-    spec = smoothing_channel()
-    work = _work_block(state, work_dim)
-    first = inverse_apply(spec, work, epsilon=epsilon)
-    pre, residual = first.operator, first.residual
-    if order == 2:
-        second = inverse_apply(spec, pre, epsilon=epsilon)
-        pre = second.operator
-        # Residual of the double round trip under the same forward model.
-        forward_map = superoperator_of(spec, work.dim)
-        forward = forward_map.apply_matrix(forward_map.apply_matrix(pre.matrix))
-        residual = trace_distance(TruncatedOperator(forward), work)
-    return pre, residual
+    work = pre = _work_block(state, work_dim).matrix
+    for _ in range(order):
+        pre = _preimage(smoothing_channel(), pre, epsilon)
+    return work, pre
 
 
 def classicality_check(rho, order: int, epsilon: float = DEFAULT_EPSILON,
@@ -155,12 +147,13 @@ def classicality_check(rho, order: int, epsilon: float = DEFAULT_EPSILON,
     Order 1 tests whether the Wigner function of `rho` is a Husimi function
     of some state (preimage under one smoothing step); order 2 tests for a
     valid P representation (two steps).  CertifiedClassical requires the
-    preimage margin to clear -1e-8 and the round-trip residual to stay
-    below 1e-6; everything else is Inconclusive, including preimages the
-    regularized inverse cannot fit.
+    preimage margin to clear -1e-8 and the residual of `order` round trips
+    to stay below 1e-6; everything else is Inconclusive, including
+    preimages the regularized inverse cannot fit.
     """
     state = as_density(rho)
-    pre, residual = _regularized_preimage(state, order, epsilon, work_dim)
+    work, pre = _regularized_preimage(state, order, epsilon, work_dim)
+    residual = _round_trip_residual(smoothing_channel(), pre, work, order)
     margin = psd_margin(pre)
     certified = margin >= -PSD_MARGIN_TOLERANCE and residual <= RESIDUAL_BOUND
     return ClassicalityReport(
@@ -168,7 +161,7 @@ def classicality_check(rho, order: int, epsilon: float = DEFAULT_EPSILON,
         criterion="WignerSufficient" if order == 1 else "PNegSufficient",
         min_eigenvalue_of_inverse=margin,
         epsilon_used=float(epsilon),
-        residual=float(residual),
+        residual=residual,
         verdict="CertifiedClassical" if certified else "Inconclusive",
     )
 
@@ -181,9 +174,8 @@ def nonclassicality_score(rho, order: int, epsilon: float = DEFAULT_EPSILON,
     dim; it is a comparable score at fixed (epsilon, work_dim), not a
     regularization-independent quantity.
     """
-    state = as_density(rho)
-    pre, _ = _regularized_preimage(state, order, epsilon, work_dim)
-    eigs = np.linalg.eigvalsh(0.5 * (pre.matrix + pre.matrix.conj().T))
+    _, pre = _regularized_preimage(as_density(rho), order, epsilon, work_dim)
+    eigs = np.linalg.eigvalsh(0.5 * (pre + pre.conj().T))
     return float(-eigs[eigs < 0.0].sum())
 
 
@@ -195,10 +187,11 @@ def nonclassicality_profile(rho, order: int,
     No limit is taken: the profile exposes the epsilon dependence so the
     caller can judge stability instead of trusting a single value.
     """
-    if not epsilons:
+    ladder = sorted((float(e) for e in epsilons), reverse=True)
+    if not ladder:
         raise ValidationError("epsilon ladder must be non-empty")
-    ladder = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    return tuple((e, nonclassicality_score(rho, order, epsilon=e,
+    state = as_density(rho)  # validated once; each score passes it through unchanged
+    return tuple((e, nonclassicality_score(state, order, epsilon=e,
                                            work_dim=work_dim)) for e in ladder)
 
 

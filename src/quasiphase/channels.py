@@ -37,11 +37,11 @@ Both atoms are phase covariant: they map the diagonal <m|X|m+e> onto the
 same diagonal.  At a fixed dim every channel built from them is therefore
 one small real transfer block per offset e (`superoperator_of`), whose
 entries are the kernels' weight products from the same factors, and the
-regularized inverse (`inverse_apply`) filters each diagonal through its
-block's SVD.  The blocks, U^T and V are cached per (spec, dim) as
-zero-padded (dim, dim, dim) stacks beside the singular values, 3 dim^3 +
-dim^2 reals shared by every epsilon, so one matmul per sign of the offset
-maps every diagonal at once.
+regularized inverse's one solve (`_preimage`) filters each diagonal
+through its block's SVD.  The blocks, U^T and V are cached per
+(spec, dim) as zero-padded (dim, dim, dim) stacks beside the singular
+values, 3 dim^3 + dim^2 reals shared by every epsilon, so one matmul per
+sign of the offset maps every diagonal at once.
 """
 
 from __future__ import annotations
@@ -503,13 +503,8 @@ def attenuator_apply(lam: float, x) -> TruncatedOperator:
 class KrausSet:
     """Operator-sum form; completeness checked on the low block."""
 
-    dim_in: int
-    dim_out: int
     matrices: tuple
     completeness_residual: float
-
-    def __iter__(self):
-        return iter(self.matrices)
 
 
 def attenuator_kraus(lam: float, dim: int) -> KrausSet:
@@ -547,8 +542,7 @@ def attenuator_kraus(lam: float, dim: int) -> KrausSet:
         raise ValidationError(
             f"attenuator Kraus completeness residual {residual:.3e} exceeds "
             f"{KRAUS_TOLERANCE:g}")
-    return KrausSet(dim_in=dim, dim_out=dim, matrices=tuple(mats),
-                    completeness_residual=residual)
+    return KrausSet(matrices=tuple(mats), completeness_residual=residual)
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -648,7 +642,8 @@ def apply(spec: ChannelSpec, x) -> TruncatedOperator:
     if isinstance(spec, AdditiveNoise):
         return apply(additive_noise_expansion(spec), op)
     if isinstance(spec, Inverse):
-        return inverse_apply(spec.inner, op, epsilon=spec.epsilon).operator
+        return TruncatedOperator(_preimage(spec.inner, op.matrix, spec.epsilon),
+                                 label=f"inverse[{op.label}]")
     if isinstance(spec, Compose):
         current = op
         for item in reversed(spec.items):
@@ -839,29 +834,22 @@ def superoperator_of(spec: ChannelSpec, dim: int) -> Superoperator:
 class InverseResult:
     operator: TruncatedOperator
     residual: float
-    epsilon: float
 
 
-def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10) -> InverseResult:
-    """Tikhonov-regularized preimage: argmin |C(Y) - X|^2 + eps |Y|^2.
+def _preimage(spec: ChannelSpec, mat: np.ndarray, epsilon: float) -> np.ndarray:
+    """The Tikhonov-regularized preimage of mat: argmin |C(Y) - X|^2 + eps |Y|^2.
 
     The problem splits by diagonal offset; with the SVD U diag(s) V^T of
     the offset's transfer block the minimiser is V diag(s / (s^2 + eps))
     U^T applied to that diagonal of X.  Every offset runs at once, as two
     matmuls against the zero-padded U^T and V stacks per sign of e
-    (`_transfer_blocks`).  The residual reports the trace
-    distance between C(Y) and X; the forward map only, never the
-    regularizer, decides whether the preimage is trustworthy, and the
-    caller judges it.  Hermitian inputs get Hermitian preimages (the exact
-    preimage is, and projecting cannot grow the residual of a
+    (`_transfer_blocks`).  Hermitian inputs get Hermitian preimages (the
+    exact preimage is, and projecting cannot grow the residual of a
     Hermitian-covariant map).
     """
     if not 0.0 < epsilon < math.inf:
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    op = _as_operator(x)
-    mat = op.matrix
-    dim = mat.shape[0]
-    stack, ut, v, s = _transfer_blocks(spec, dim)
+    _, ut, v, s = _transfer_blocks(spec, mat.shape[0])
     gain = (s / (s * s + epsilon))[:, :, None]  # zero past each block's corner
     parts = _diagonals(mat)
     for half in parts:  # same-shape matmuls round +e and -e alike
@@ -870,10 +858,27 @@ def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10) -> InverseResult
     scale = max(1.0, float(np.max(np.abs(mat))))
     if hermiticity_defect(mat) <= 1e-10 * scale:
         y = 0.5 * (y + y.conj().T)
-    forward = Superoperator(spec=spec, dim=dim, stack=stack).apply_matrix(y)
+    return y
+
+
+def _round_trip_residual(spec: ChannelSpec, pre: np.ndarray, target: np.ndarray,
+                         steps: int) -> float:
+    """Trace distance between `steps` forward maps of pre, and target."""
+    dim = target.shape[0]
+    forward = Superoperator(spec=spec, dim=dim, stack=_transfer_blocks(spec, dim)[0])
+    for _ in range(steps):
+        pre = forward.apply_matrix(pre)
+    return float(trace_distance(pre, target))
+
+
+def inverse_apply(spec: ChannelSpec, x, epsilon: float = 1e-10) -> InverseResult:
+    """The regularized preimage Y of X (`_preimage`) and the trace distance
+    between C(Y) and X (`_round_trip_residual`): the forward map only, never
+    the regularizer, says whether Y is trustworthy, and the caller judges it."""
+    op = _as_operator(x)
+    y = _preimage(spec, op.matrix, epsilon)
     return InverseResult(operator=TruncatedOperator(y, label=f"inverse[{op.label}]"),
-                         residual=float(trace_distance(forward, mat)),
-                         epsilon=float(epsilon))
+                         residual=_round_trip_residual(spec, y, op.matrix, 1))
 
 
 def channel_diagnostics(x_in, x_out) -> dict:

@@ -182,11 +182,17 @@ class GaussianP:
     nbar: float
     weight: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.nbar < math.inf:
+            raise ValidationError(f"thermal nbar must be finite and >= 0, got {self.nbar}")
+
     def value_at(self, alpha):
         """P at one point (a float) or at an array of points (an array)."""
-        if self.nbar <= 0.0:
+        if self.nbar == 0.0:
             raise SingularPError(
                 "P is a delta distribution at nbar=0; no function values exist")
+        if not np.all(np.isfinite(alpha)):
+            raise ValidationError(f"P point alpha must be finite, got {alpha}")
         with np.errstate(over="ignore"):  # |alpha|^2 = inf far out, where P is 0
             y = np.abs(np.asarray(alpha, dtype=np.complex128)) ** 2
         vals = self.weight * np.exp(-y / self.nbar) / self.nbar
@@ -621,11 +627,11 @@ def distribution_to_csv(dist: QuasiDistribution) -> str:
     Values become Python floats one row at a time, so only n of them are
     alive at once.
     """
-    # the lattice, and each line (three reprs of <= 24 characters) twice
+    # each line (three reprs of <= 24 characters) twice, and 16 bytes of headroom
     _check_grid_budget(dist.grid, 16 + 2 * 75, "CSV text")
-    alphas = dist.grid.alphas()
-    res = [f"{re!r}," for re in alphas[:, 0].real.tolist()]
-    ims = [f"{im!r}," for im in alphas[0].imag.tolist()]
+    off = dist.grid.axis_offsets()
+    res = [f"{re!r}," for re in (dist.grid.center.real + off).tolist()]
+    ims = [f"{im!r}," for im in (dist.grid.center.imag + off).tolist()]
     rows = ["".join([f"{re}{im}{v!r}\n" for im, v in zip(ims, vals.tolist())])
             for re, vals in zip(res, dist.values)]
     return "re_alpha,im_alpha,value\n" + "".join(rows)

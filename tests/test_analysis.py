@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quasiphase import analysis
+from quasiphase import analysis, channels, fock
 from quasiphase.analysis import (
     CHECK_NAMES,
     VerifyConfig,
@@ -24,11 +24,12 @@ from quasiphase.analysis import (
     report_to_text,
     verify_suite,
 )
-from quasiphase.channels import apply, smoothing_channel
+from quasiphase.channels import apply, inverse_apply, smoothing_channel
 from quasiphase.errors import BudgetError, GridTooSmallError, ValidationError
 from quasiphase.fock import (
     TruncatedOperator,
     coherent_state,
+    crop,
     displaced_parity,
     fock_state,
     random_density,
@@ -111,6 +112,32 @@ class TestClassicalityCheck:
         assert report.residual < 1e-6
         assert -1e-2 < report.min_eigenvalue_of_inverse < -1e-8
 
+    def test_order_two_solves_twice_and_measures_once(self, monkeypatch):
+        image = smoothed(thermal_state(0.8, 40))
+        calls = {"solve": 0, "distance": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "_preimage", counted("solve", analysis._preimage))
+        monkeypatch.setattr(channels, "trace_distance",
+                            counted("distance", channels.trace_distance))
+        classicality_check(image, 2)
+        assert calls == {"solve": 2, "distance": 1}
+
+    def test_order_one_residual_is_the_inverse_round_trip(self):
+        # the full grown image, cropped to the work dim as the certificate crops it
+        image = smoothed(random_density(40, rank=3, support=10, rng=5))
+        work = crop(image, 40)
+        report = classicality_check(image, 1)
+        assert report.residual == inverse_apply(smoothing_channel(), work).residual
+        pre = channels._preimage(smoothing_channel(), work.matrix, 1e-10)
+        assert report.residual == channels._round_trip_residual(
+            smoothing_channel(), pre, work.matrix, 1)
+
     def test_label_propagates(self):
         report = classicality_check(thermal_state(0.5, 24), 1)
         assert report.state_label == "thermal(0.5)"
@@ -159,6 +186,27 @@ class TestNonclassicalityScore:
     def test_profile_rejects_empty_ladder(self):
         with pytest.raises(ValidationError):
             nonclassicality_profile(fock_state(0, 12), 1, epsilons=())
+        # an iterator or generator object is truthy however many items it holds
+        with pytest.raises(ValidationError, match="non-empty"):
+            nonclassicality_profile(fock_state(0, 12), 1, epsilons=iter(()))
+        with pytest.raises(ValidationError, match="non-empty"):
+            nonclassicality_profile(fock_state(0, 12), 1, epsilons=(e for e in ()))
+
+    def test_profile_validates_once_and_measures_nothing(self, monkeypatch):
+        image = smoothed(thermal_state(0.8, 40))  # a bare operator, not yet a state
+        built, distances = [], []
+        post_init = fock.DensityOperator.__post_init__
+
+        def counted(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(fock.DensityOperator, "__post_init__", counted)
+        monkeypatch.setattr(channels, "trace_distance",
+                            lambda *args: distances.append(args) or 0.0)
+        assert len(nonclassicality_profile(image, 1)) == 4
+        assert len(built) == 1
+        assert distances == []
 
 
 class TestDefaultBattery:

@@ -451,7 +451,7 @@ class TestKrausSet:
     def test_completeness_exact(self):
         for lam in (0.0, 0.25, 0.5, 1.0):
             ks = attenuator_kraus(lam, 24)
-            total = sum(k.conj().T @ k for k in ks)
+            total = sum(k.conj().T @ k for k in ks.matrices)
             assert_allclose(total, np.eye(24), atol=1e-12)
             assert ks.completeness_residual <= 1e-10
 
@@ -460,7 +460,7 @@ class TestKrausSet:
     def test_residual_is_the_dense_sum_bit_for_bit(self, lam, dim):
         # the weights' squares, summed in ascending j, are what the GEMMs give
         ks = attenuator_kraus(lam, dim)
-        total = sum(k.conj().T @ k for k in ks)
+        total = sum(k.conj().T @ k for k in ks.matrices)
         low = max(1, 3 * dim // 4)
         dense = float(np.max(np.abs(total[:low, :low] - np.eye(dim)[:low, :low])))
         assert ks.completeness_residual == dense
@@ -487,14 +487,14 @@ class TestKrausSet:
     def test_kraus_action_matches_kernel(self):
         rho = random_density(16, rank=3, rng=9)
         ks = attenuator_kraus(0.35, 16)
-        summed = sum(k @ rho.matrix @ k.conj().T for k in ks)
+        summed = sum(k @ rho.matrix @ k.conj().T for k in ks.matrices)
         direct = attenuator_apply(0.35, rho)
         assert_allclose(summed, direct.matrix, atol=1e-12)
 
     def test_kraus_on_coherent(self):
         ks = attenuator_kraus(0.5, 32)
         rho = coherent_state(1.0, 32)[0]
-        summed = sum(k @ rho.matrix @ k.conj().T for k in ks)
+        summed = sum(k @ rho.matrix @ k.conj().T for k in ks.matrices)
         expected = coherent_state(1.0 / math.sqrt(2.0), 32)[0]
         assert_allclose(summed, expected.matrix, atol=1e-8)
 
@@ -664,11 +664,20 @@ class TestApply:
         direct = amplifier_apply(2.0, attenuator_apply(0.5, rho))
         assert embedded_max_diff(out, direct) < 1e-12
 
-    def test_apply_dispatches_inverse(self):
+    def test_apply_dispatches_inverse(self, monkeypatch):
         rho = random_density(10, rank=2, support=8, rng=17)
         image = attenuator_apply(0.6, rho)
         back = apply(Inverse(Attenuator(0.6)), image)
         assert trace_distance(back, rho) < 1e-4
+        # the same solve as inverse_apply, bit for bit, without its residual
+        expected = inverse_apply(Attenuator(0.6), image, 1e-8).operator
+        distances = []
+        monkeypatch.setattr(channels, "trace_distance",
+                            lambda *args: distances.append(args) or 0.0)
+        back = apply(Inverse(Attenuator(0.6), 1e-8), image)
+        assert distances == []
+        assert back.label == expected.label == f"inverse[{image.label}]"
+        assert back.matrix.tobytes() == expected.matrix.tobytes()
 
     def test_rejects_non_spec(self):
         with pytest.raises(ValidationError):

@@ -239,6 +239,14 @@ class TestPointEvaluators:
         assert ps.p_thermal_at(0.5, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert ps.p_thermal_at(1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("nbar,alpha", [
+        (math.nan, 0.3), (1.0, complex(math.nan, 0.0)), (-1.0, 0.3), (math.inf, 0.3),
+    ], ids=["nan nbar", "nan point", "negative nbar", "infinite nbar"])
+    def test_thermal_p_refuses_bad_input(self, nbar, alpha):
+        # as thermal_state refuses the nbar and q_at, w_at and w_char_at the point
+        with pytest.raises(ValidationError, match="must be finite"):
+            ps.p_thermal_at(nbar, alpha)
+
     def test_thermal_p_far_out_is_zero(self):
         # |alpha|^2 overflows to inf, as in q_at, and P reads exp(-inf) = 0
         with warnings.catch_warnings():
